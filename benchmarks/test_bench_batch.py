@@ -71,9 +71,7 @@ def test_bench_batch_results_bit_identical(benchmark):
             run_single(scenario, "DSR-ODPM", 2.0, seed) for seed in seeds
         ]
         grid = run_grid(
-            scenario,
-            grid_cells(scenario, ("DSR-ODPM",), (2.0,), seeds),
-            batch=True,
+            scenario, grid_cells(scenario, ("DSR-ODPM",), (2.0,), seeds)
         )
         return batched, singles, grid
 

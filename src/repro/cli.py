@@ -20,11 +20,9 @@ print aligned rows.  ``--scale`` selects ``smoke`` (seconds), ``bench``
 Every grid-backed command (``fig8``–``fig16``, ``table2``, ``sweep``)
 accepts ``--jobs N`` (fan the grid out across N worker processes; results
 are bit-identical to ``--jobs 1``), ``--cache-dir DIR`` (reuse completed
-runs from a persistent result store), ``--progress`` (progress/ETA on
-stderr, counted in cells) and ``--batch``/``--no-batch`` (dispatch each
-(protocol, rate) group's seeds as one batch — the default — or one cell
-at a time; results are bit-identical either way).  ``run`` and
-``lifetime`` execute a single ad hoc simulation and take none of these.
+runs from a persistent result store) and ``--progress`` (progress/ETA on
+stderr, counted in cells).  ``run`` and ``lifetime`` execute a single ad
+hoc simulation and take none of these.
 See :mod:`repro.experiments.parallel` and :mod:`repro.experiments.store`.
 
 ``cache ls`` and ``cache verify`` inspect a ``--cache-dir`` store without
@@ -73,9 +71,8 @@ raw stats), and ``perf`` runs the kernel-throughput benchmarks that CI
 records as ``BENCH_kernel.json``.  ``perf-scale`` measures the node
 axis — spatial-hash freeze times vs the brute-force reference, per-move
 mobility-repair cost, and end-to-end ``large-grid-*`` cells — recorded
-as ``BENCH_scale.json``.  ``perf-sweep`` dispatches one campaign cold
-and warm, byte-compares the stores and records the throughput ratio as
-``BENCH_sweep.json``.  See :mod:`repro.perf` and ``docs/performance.md``.
+as ``BENCH_scale.json``.  See :mod:`repro.perf` and
+``docs/performance.md``.
 
 ``cli-doc`` regenerates ``docs/cli.md`` from this parser tree; a drift
 test (``tests/test_docs.py``) fails when the committed doc goes stale.
@@ -270,8 +267,7 @@ def _field_figure(args: argparse.Namespace, metric: str, title: str,
     policy, failures = _resilience_from_args(args)
     grid = sweep(scenario, rates_kbps=rates, jobs=args.jobs,
                  store=_store_from_args(args), progress=args.progress,
-                 batch=args.batch, warm=args.warm, policy=policy,
-                 failures=failures)
+                 policy=policy, failures=failures)
     plot = AsciiPlot(title=title, xlabel="Rate (Kbit/s)",
                      ylabel=metric.replace("_", " "))
     for protocol in scenario.protocols:
@@ -326,8 +322,7 @@ def _cmd_fig10(args: argparse.Namespace) -> None:
         # protocol x rate x seed block, not one run_many at a time.
         grid = sweep(scenario, protocols=protocols, rates_kbps=rates,
                      jobs=args.jobs, store=store, progress=args.progress,
-                     batch=args.batch, warm=args.warm, policy=policy,
-                     failures=failures)
+                     policy=policy, failures=failures)
         for protocol in protocols:
             points = [
                 (rate, grid[(protocol, rate)].transmit_energy.mean)
@@ -353,8 +348,8 @@ def _cmd_table2(args: argparse.Namespace) -> None:
             density_network(node_count, scale=args.scale), args
         )
         grid = sweep(scenario, rates_kbps=(4.0,), jobs=args.jobs,
-                     store=store, progress=args.progress, batch=args.batch,
-                     warm=args.warm, policy=policy, failures=failures)
+                     store=store, progress=args.progress, policy=policy,
+                     failures=failures)
         for protocol in scenario.protocols:
             agg = grid.get((protocol, 4.0))
             if agg is None:  # every seed failed under --continue-on-error
@@ -524,8 +519,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                 jobs=args.jobs,
                 store=store,
                 progress=args.progress,
-                batch=args.batch,
-                warm=args.warm,
                 policy=policy,
                 manifest=manifest,
                 failures=failures,
@@ -937,32 +930,6 @@ def _cmd_perf_batch(args: argparse.Namespace) -> None:
         print("report written to %s" % args.out)
 
 
-def _cmd_perf_sweep(args: argparse.Namespace) -> None:
-    from repro.perf import (
-        format_sweep_report,
-        run_sweep_benchmarks,
-        write_benchmark_report,
-    )
-
-    report = run_sweep_benchmarks(
-        node_count=args.nodes,
-        rates=args.rates,
-        seeds=args.seeds,
-        duration=args.duration,
-        field=args.field,
-        jobs=args.jobs,
-        repeats=args.repeats,
-    )
-    print(format_sweep_report(report))
-    if args.out:
-        write_benchmark_report(report, args.out)
-        print("report written to %s" % args.out)
-    if not report["benchmarks"]["warm_sweep"]["stores_identical"]:
-        raise SystemExit(
-            "error: warm and cold dispatch produced different store bytes"
-        )
-
-
 def _cmd_perf_scale(args: argparse.Namespace) -> None:
     from repro.perf import (
         format_scale_report,
@@ -1075,25 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "auto-detected from the cache dir")
         p.add_argument("--progress", action="store_true",
                        help="progress/ETA on stderr, counted in cells")
-        p.add_argument("--batch", dest="batch", action="store_true",
-                       default=True,
-                       help="dispatch each (protocol, rate) group's seeds "
-                            "as one batch, sharing setup work (default; "
-                            "results are bit-identical to --no-batch)")
-        p.add_argument("--no-batch", dest="batch", action="store_false",
-                       help="dispatch one (protocol, rate, seed) cell at "
-                            "a time")
-        p.add_argument("--warm", dest="warm", action="store_true",
-                       default=True,
-                       help="warm-worker dispatch when pooled and cached "
-                            "(--jobs > 1 with --cache-dir): workers keep "
-                            "placement/geometry hot and write the store "
-                            "directly, returning digest receipts "
-                            "(default; results are bit-identical to "
-                            "--no-warm)")
-        p.add_argument("--no-warm", dest="warm", action="store_false",
-                       help="classic dispatch: per-task setup, results "
-                            "pickled back, parent-side store writes")
         p.add_argument("--mobility", type=_mobility_vmax, default=None,
                        metavar="VMAX",
                        help="random-waypoint mobility with speeds up to "
@@ -1124,14 +1072,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "profiles (short, lowrate, sensor); the rest "
                             "keep the scenario's card")
         p.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retries per cell after a transient failure "
-                            "(worker crash, timeout) with exponential "
-                            "backoff; simulation errors are never retried")
+                       help="retries per dispatch unit after a transient "
+                            "failure (worker crash, timeout, a store "
+                            "receipt that does not verify) with "
+                            "exponential backoff; simulation errors are "
+                            "never retried")
         p.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="wall-clock budget per cell in seconds (a "
-                            "batch of k seeds gets k*S); over-budget "
-                            "workers are terminated and count as "
-                            "transient failures (default: no timeout)")
+                            "unit of k seeds gets k*S); over-budget "
+                            "workers are terminated and their units count "
+                            "as transient failures (default: no timeout)")
         p.add_argument("--continue-on-error", action="store_true",
                        help="finish the healthy cells when one fails "
                             "permanently, then print a failure report "
@@ -1308,29 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=[1024, 5041],
                             help="large_grid smoke cells to run end to end "
                                  "(must be perfect squares)")
-
-    sweep_perf = add("perf-sweep", _cmd_perf_sweep,
-                     "warm vs cold sweep dispatch benchmark "
-                     "(BENCH_sweep.json)",
-                     scale=False)
-    sweep_perf.add_argument("--out", default=None, metavar="PATH",
-                            help="write the JSON report to PATH")
-    sweep_perf.add_argument("--nodes", type=int, default=500,
-                            help="node count of the benchmark campaign")
-    sweep_perf.add_argument("--rates", type=int, default=10,
-                            help="rate-axis points (dispatch units)")
-    sweep_perf.add_argument("--seeds", type=int, default=2,
-                            help="seeds per (protocol, rate) batch")
-    sweep_perf.add_argument("--duration", type=float, default=2.0,
-                            help="scenario duration in simulated seconds")
-    sweep_perf.add_argument("--field", type=float, default=3700.0,
-                            help="field edge in metres; sparse enough "
-                                 "that the connected-placement draw "
-                                 "dominates shared setup")
-    sweep_perf.add_argument("--jobs", type=int, default=2,
-                            help="worker processes for both dispatch modes")
-    sweep_perf.add_argument("--repeats", type=int, default=2,
-                            help="best-of-N repetitions per mode")
 
     doc_parser = add("cli-doc", _cmd_cli_doc,
                      "regenerate docs/cli.md from this parser tree",

@@ -91,11 +91,11 @@ class StoreBackend:
     and knows nothing about RunResults, digests or fingerprints — that
     policy lives in the store, which is what keeps integrity guarantees
     identical across backends.  Implementations must tolerate concurrent
-    writers across processes: the warm dispatch path
-    (:mod:`repro.experiments.parallel`) has every pool worker write its
-    finished entries directly, with only ``(key, digest)`` receipts
-    returning to the orchestrating parent.  Both shipped backends
-    already are — the JSON layout publishes each entry with an atomic
+    writers across processes: sweep dispatch
+    (:mod:`repro.experiments.parallel`) has every unit — in pool workers
+    too — write its finished entries directly, with only
+    ``(key, digest)`` receipts returning to the orchestrating parent.
+    Both shipped backends already are — the JSON layout publishes each entry with an atomic
     per-file :func:`os.replace`, and sqlite serializes writers through
     its WAL journal — and since the determinism contract makes equal
     keys hold equal bytes, a write race is always a benign last-write-

@@ -8,67 +8,68 @@ exploits that — it fans grid cells out across a
 from a :class:`~repro.experiments.store.ResultStore`, and reports
 progress/ETA while a sweep is running.
 
-The unit of dispatch is a **batch of seeds**: all cells of one
-``(protocol, rate)`` group travel to a worker as one :class:`GridBatch`,
-so a group pays process startup once and — for scenarios whose placement
-does not depend on the seed — derives its placement and frozen channel
-geometry once (see :func:`repro.experiments.runner.run_batch`).  The
-result store stays **per cell**: batching changes how work reaches a
-worker, never what is cached or under which key.  ``batch=False`` restores
-the per-cell fan-out.
+There is one dispatch path.  The unit of dispatch is a **batch of
+seeds**: the pending cells of one ``(protocol, rate)`` group travel as one
+:class:`GridBatch` (a lone cell is a batch of one) through one task and
+one record, in this process when ``jobs == 1`` or there is only one unit,
+on a process pool otherwise.  Every unit runs on a context holding the
+scenario, its fingerprint, an optional store handle and — for scenarios
+whose placement does not depend on the seed — the memoized placement and
+frozen channel geometry (:func:`repro.experiments.runner.shared_setup`).
+A serial sweep builds that context once, in process; a pooled sweep
+builds it once per worker in the pool initializer, so the scenario
+crosses the pool boundary once instead of once per unit.  The result
+store stays **per cell**: batching changes how work reaches a worker,
+never what is cached or under which key.
 
-Pooled, store-backed sweeps run on **warm workers** by default: the pool
-initializer ships the :class:`~repro.experiments.scenarios.Scenario` (and
-its fingerprint) to each worker exactly once, workers memoize the
-materialized placement and frozen channel geometry keyed by (scenario
-fingerprint, placement seed) so every batch after a worker's first reuses
-them instead of re-freezing, and finished entries are written into the
-multi-process-safe result store **by the worker itself** — only
-``(key, digest)`` :class:`CellReceipt` triples travel back over the pool,
-so IPC is O(digest) per cell instead of O(payload).  The parent re-reads
-and digest-verifies every receipt before marking the manifest cell done;
-a receipt that fails verification leaves its cell pending and a bounded
-cold (parent-write) pass finishes it, so the PR 7 retry/timeout/
-quarantine/interrupt-drain semantics are preserved unchanged.  Pending
-units are ordered **longest-expected-first** by a per-(protocol, rate)
-cost model (:mod:`repro.experiments.costmodel`) learned from the sweep's
-own cache hits, and submitted through a bounded in-flight window so
-parent-side memory stays O(jobs), not O(grid).
+A unit with a store writes each finished seed into the
+multi-process-safe store itself and returns ``(key, digest)``
+:class:`CellReceipt` triples, so IPC is O(digest) per cell instead of
+O(payload); the parent re-reads and digest-verifies every receipt before
+marking the manifest cell done, and a receipt that does not verify costs
+its unit one attempt of the transient-retry budget
+(``FaultPolicy.max_retries``).  A unit without a store returns its
+results.  Pooled units are ordered **longest-expected-first** by a
+per-(protocol, rate) cost model (:mod:`repro.experiments.costmodel`)
+learned from the sweep's own cache hits, and submitted through a bounded
+in-flight window so parent-side memory stays O(jobs), not O(grid).
 
 Determinism is preserved by construction: each cell re-derives every random
 stream from its own seed (see :meth:`repro.sim.engine.Simulator.rng`), so a
-parallel sweep is **bit-identical** to a serial one — and a batched sweep
-to a per-cell one.  With the resilience layer
-(:mod:`repro.experiments.resilience`), the sharded-campaign layer
-(:mod:`repro.experiments.backends`) and the warm-worker dispatch path the
-contract is **seven-way**:
-serial == parallel == cached == batched == interrupted-then-resumed ==
-sharded-then-merged == warm, pinned by ``tests/test_orchestration.py``,
-``tests/test_resilience.py``, ``tests/test_backends.py`` and
-``tests/test_warm_sweep.py`` — the resumed leg including runs with
-injected worker crashes and retries, the merged leg including shards
-cached under different store backends on byte-identity of the merged
-store, the warm leg on byte-identity of worker-written stores under both
-backends.
+parallel sweep is **bit-identical** to a serial one.  With the resilience
+layer (:mod:`repro.experiments.resilience`) and the sharded-campaign layer
+(:mod:`repro.experiments.backends`) the contract is
+serial == parallel == cached == interrupted-then-resumed ==
+sharded-then-merged, every leg equal to per-seed
+:func:`repro.experiments.runner.run_single`, pinned by
+``tests/test_orchestration.py``, ``tests/test_resilience.py``,
+``tests/test_backends.py`` and ``tests/test_warm_sweep.py`` — the resumed
+leg including runs with injected worker crashes and retries, the merged
+leg including shards cached under different store backends on
+byte-identity of the merged store, the parallel leg on byte-identity of
+``jobs=1`` and ``jobs=2`` stores under both backends.
 Aggregation always folds runs in ascending-seed order so even
 floating-point summation order matches the serial path.
 
 Failure handling is policy-driven (:class:`~repro.experiments.resilience.
 FaultPolicy`): transient failures — a worker killed by the OOM reaper
-(``BrokenProcessPool``), a wedged cell past its timeout — are retried
-with exponential backoff and a rebuilt pool; deterministic simulation
-failures (:class:`GridCellError`) either abort the sweep naming the cell
+(``BrokenProcessPool``), a wedged unit past its timeout, a receipt that
+does not verify — are retried with exponential backoff (a rebuilt pool
+for pooled sweeps); deterministic simulation failures
+(:class:`GridCellError`) either abort the sweep naming the cell
 (``on_error="fail"``) or are collected into a
 :class:`~repro.experiments.resilience.SweepFailureReport` while sibling
-cells keep running (``on_error="continue"``).
+cells keep running (``on_error="continue"``).  A store read or write
+error is neither: it propagates unwrapped and aborts the sweep, and the
+manifest is the resume point.
 
 The public surface:
 
 * :class:`GridCell` — one point of the sweep grid.
 * :class:`GridBatch` — one dispatch unit: a (protocol, rate) group's seeds.
-* :func:`run_grid` — execute a set of cells (serial or parallel, cached,
-  batched or per-cell), under a fault policy, optionally checkpointed
-  into a :class:`~repro.experiments.resilience.SweepManifest`.
+* :func:`run_grid` — execute a set of cells (serial or parallel, cached),
+  under a fault policy, optionally checkpointed into a
+  :class:`~repro.experiments.resilience.SweepManifest`.
 * :func:`run_sweep` — full protocol x rate grid, aggregated per cell group;
   the engine behind :func:`repro.experiments.runner.sweep` and the
   ``repro sweep`` CLI command.
@@ -84,7 +85,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -110,7 +110,7 @@ from repro.experiments.store import ResultStore, cell_key, scenario_fingerprint
 from repro.metrics.collectors import AggregateResult, RunResult, aggregate_runs
 
 #: Dispatcher poll period while futures are outstanding: how often the
-#: interrupt flag and the per-cell timeout watchdog are evaluated.
+#: interrupt flag and the per-unit timeout watchdog are evaluated.
 _POLL_INTERVAL_S = 0.05
 
 #: In-flight submission window, in multiples of ``jobs``: enough queued
@@ -177,7 +177,7 @@ def batch_cells(cells: Iterable[GridCell]) -> list[GridBatch]:
 
     Groups appear in first-encounter order and each batch's seeds keep
     their cell order, so iterating the batches visits the same work in the
-    same sequence the per-cell dispatch would.
+    same sequence as iterating the cells.
     """
     groups: dict[tuple[str, float], list[int]] = {}
     for cell in cells:
@@ -300,42 +300,20 @@ def grid_cells(
     ]
 
 
-def _execute_cell(scenario: Scenario, cell: GridCell) -> RunResult:
-    """Run one cell's simulation; top-level so the process pool can pickle it."""
-    from repro.experiments.runner import run_single
-
-    try:
-        return run_single(scenario, cell.protocol, cell.rate_kbps, cell.seed)
-    except Exception as exc:
-        raise GridCellError.from_exception(cell, exc) from exc
-
-
-def _execute_batch(scenario: Scenario, batch: GridBatch) -> list[RunResult]:
-    """Run one batch's seeds; top-level so the process pool can pickle it.
-
-    Failures arrive as :class:`GridCellError` already naming the exact
-    failing ``(protocol, rate, seed)`` (see
-    :func:`repro.experiments.runner.run_batch`).
-    """
-    from repro.experiments.runner import run_batch
-
-    return run_batch(scenario, batch.protocol, batch.rate_kbps, batch.seeds)
-
-
 # ----------------------------------------------------------------------
-# Warm-worker dispatch: shared scenario state + worker-side store writes
+# Dispatch units: one context per process, receipts for store-backed units
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CellReceipt:
-    """What a warm worker returns per cell instead of the result payload.
+    """What a store-backed unit returns per cell instead of the payload.
 
-    The payload itself is already on disk (the worker wrote it into the
-    shared result store), so the pool only carries the cell's cache
-    ``key``, the payload ``digest`` the parent must re-verify before
-    marking the manifest cell done, and the run's ``events`` count (feeds
-    the progress reporter's aggregate events/s and the cost model).
-    ``cached`` marks a seed the worker found already persisted — a
-    crashed-then-retried batch whose earlier attempt got that far.
+    The payload itself is already in the store (the unit wrote it), so
+    the receipt only carries the cell's cache ``key``, the payload
+    ``digest`` the parent must re-verify before marking the manifest cell
+    done, and the run's ``events`` count (feeds the progress reporter's
+    aggregate events/s and the cost model).  ``cached`` marks a seed the
+    unit found already persisted — a crashed-then-retried batch whose
+    earlier attempt got that far.
     """
 
     key: str
@@ -345,119 +323,81 @@ class CellReceipt:
 
 
 @dataclass(frozen=True)
-class _WarmSpec:
-    """Everything a warm pool worker needs, shipped once via initargs.
+class _UnitSpec:
+    """Everything a unit context needs; shipped once per pool worker.
 
     ``fingerprint`` is the parent's :func:`scenario_fingerprint` dict —
     pickled verbatim, so worker-computed cache keys and recorded
     fingerprints are byte-identical to what the parent would write.
-    ``store_root``/``backend_name`` let each worker open its own store
-    handle (the sqlite backend connects lazily per process, the JSON
-    backend is just a directory), rather than inheriting a parent handle
-    across ``fork``.
+    ``store_root``/``backend_name`` (None without a store) let each
+    context open its own store handle — the sqlite backend connects
+    lazily per process, the JSON backend is just a directory — rather
+    than share the caller's handle and its counters.
     """
 
     scenario: Scenario
-    fingerprint: dict
-    store_root: str
-    backend_name: str
+    fingerprint: dict | None
+    store_root: str | None
+    backend_name: str | None
 
 
-class _WarmContext:
-    """Per-worker memoized state behind :func:`_execute_batch_warm`."""
+class _UnitContext:
+    """Per-process state behind every dispatch unit of one sweep."""
 
-    def __init__(self, spec: _WarmSpec) -> None:
+    def __init__(self, spec: _UnitSpec) -> None:
         self.scenario = spec.scenario
         self.fingerprint = spec.fingerprint
-        self.store = ResultStore(spec.store_root, backend=spec.backend_name)
-        self._shared: dict = {}
+        self.store = (
+            ResultStore(spec.store_root, backend=spec.backend_name)
+            if spec.store_root is not None
+            else None
+        )
+        self._shared: tuple | None = None
 
-    def shared_setup(self, batch: GridBatch):
-        """Memoized (placement, geometry) for shared-placement scenarios.
+    def run(self, unit: GridBatch) -> list:
+        """Run ``unit``: results without a store, receipts with one.
 
-        Keyed by (scenario fingerprint, placement seed): the first batch a
-        worker executes materializes the placement and freezes its
-        :class:`~repro.sim.channel.ChannelGeometry`; every sibling batch
-        after that — including single-seed batches, which the cold path
-        cannot share into — reuses both.  Scenarios whose placement
-        depends on the seed get ``(None, None)`` and derive per cell,
-        exactly like the cold path.
+        The runner functions are looked up on their module at call time,
+        so whatever wraps them there (instrumentation, tests) sees every
+        unit.  The first unit derives the shared setup; every later unit
+        of this context — single-seed ones included — reuses it.
         """
-        if not self.scenario.shares_placement:
-            return None, None
-        from repro.experiments.backends import canonical_digest
-        from repro.sim.channel import ChannelGeometry
+        from repro.experiments import runner
 
-        key = (
-            canonical_digest(self.fingerprint),
-            self.scenario.placement_seed,
-        )
-        pair = self._shared.get(key)
-        if pair is None:
-            placement = self.scenario.placement(batch.seeds[0])
-            geometry = ChannelGeometry.build(
-                placement.positions, self.scenario.card.max_range
+        if self._shared is None:
+            self._shared = runner.shared_setup(
+                self.scenario, unit.protocol, unit.rate_kbps, unit.seeds
             )
-            pair = (placement, geometry)
-            self._shared[key] = pair
-        return pair
-
-
-#: The warm worker's context; set exactly once per worker process by
-#: :func:`_init_warm_worker`, never in the orchestrating parent.
-_WARM_CONTEXT: _WarmContext | None = None
-
-
-def _init_warm_worker(spec: _WarmSpec) -> None:
-    """Pool initializer for warm workers: mark, then build the context.
-
-    Runs once per worker process.  Marks the process as a worker (fault
-    injection, signal disposition — exactly like the cold initializer)
-    and materializes the :class:`_WarmContext` every subsequent
-    :func:`_execute_batch_warm` call reads, so the scenario crosses the
-    pool boundary once instead of once per dispatch unit.
-    """
-    global _WARM_CONTEXT
-    _mark_worker()
-    _WARM_CONTEXT = _WarmContext(spec)
-
-
-def _execute_batch_warm(batch: GridBatch) -> list[CellReceipt]:
-    """Run one batch on a warm worker; returns receipts, not payloads.
-
-    Reads the worker-global :class:`_WarmContext` (scenario, fingerprint,
-    store handle, memoized shared setup) installed by the pool
-    initializer, then delegates to
-    :func:`repro.experiments.runner.run_batch_receipts`, which writes
-    each finished seed straight into the store.  Shared-setup failures
-    are wrapped exactly like the cold path's, naming the batch's first
-    cell.
-    """
-    context = _WARM_CONTEXT
-    if context is None:  # pragma: no cover - dispatch wiring bug
-        raise RuntimeError(
-            "_execute_batch_warm outside a warm pool worker "
-            "(initializer did not run)"
+        placement, geometry = self._shared
+        if self.store is None:
+            return runner.run_batch(
+                self.scenario, unit.protocol, unit.rate_kbps, unit.seeds,
+                placement=placement, geometry=geometry,
+            )
+        return runner.run_batch_receipts(
+            self.scenario, unit.protocol, unit.rate_kbps, unit.seeds,
+            store=self.store, fingerprint=self.fingerprint,
+            placement=placement, geometry=geometry,
         )
-    from repro.experiments.runner import run_batch_receipts
 
-    try:
-        placement, geometry = context.shared_setup(batch)
-    except Exception as exc:
-        cell = GridCell(batch.protocol, batch.rate_kbps, batch.seeds[0])
-        raise GridCellError.from_exception(
-            cell, exc, prefix="shared batch setup failed: "
-        ) from exc
-    return run_batch_receipts(
-        context.scenario,
-        batch.protocol,
-        batch.rate_kbps,
-        batch.seeds,
-        store=context.store,
-        fingerprint=context.fingerprint,
-        placement=placement,
-        geometry=geometry,
-    )
+
+#: A pool worker's unit context; set once per worker process by
+#: :func:`_init_worker`, never in the orchestrating parent.
+_WORKER_CONTEXT: _UnitContext | None = None
+
+
+def _init_worker(spec: _UnitSpec) -> None:
+    """Pool initializer: mark the process as a worker, build its context."""
+    global _WORKER_CONTEXT
+    _mark_worker()
+    _WORKER_CONTEXT = _UnitContext(spec)
+
+
+def _execute_unit(unit: GridBatch) -> list:
+    """Pool task: run ``unit`` on this worker's context."""
+    if _WORKER_CONTEXT is None:  # pragma: no cover - dispatch wiring bug
+        raise RuntimeError("_execute_unit outside an initialized pool worker")
+    return _WORKER_CONTEXT.run(unit)
 
 
 def _probe_routes(
@@ -520,15 +460,17 @@ def _terminate_workers(
 
 
 class _Dispatcher:
-    """Fault-tolerant execution of dispatch units over a process pool.
+    """Fault-tolerant execution of dispatch units, serial or pooled.
 
     One instance per :func:`_dispatch` call.  Responsibilities:
 
-    * fan units out across workers (or run serially for ``jobs<=1``);
+    * run units in this process (``jobs <= 1`` or a single unit) or fan
+      them out across a process pool;
     * classify failures — :class:`GridCellError` is deterministic (never
-      retried), ``BrokenProcessPool``/timeout are transient (retried up
-      to ``policy.max_retries`` with deterministic backoff, under a
-      rebuilt pool);
+      retried); ``BrokenProcessPool``, a timeout and a unit whose
+      ``record`` hands back an unverified remainder are transient
+      (retried up to ``policy.max_retries`` with deterministic backoff,
+      pooled retries under a rebuilt pool);
     * drain in-flight work and raise :class:`SweepInterrupted` when the
       :class:`InterruptGuard` fires;
     * in ``continue`` mode, route permanent failures to ``on_failure``
@@ -564,13 +506,14 @@ class _Dispatcher:
 
     # -- shared failure handling ---------------------------------------
     def _deterministic_failure(
-        self, item: object, error: GridCellError, attempts: int
+        self, item: object, error: GridCellError, attempts: dict
     ) -> list:
         """Handle a simulation-raised failure; returns replacement units.
 
         In ``fail`` mode the error propagates (pre-resilience
         behaviour).  In ``continue`` mode the named cell is reported and
-        a batch sheds the poisoned seed so its siblings still run.
+        a batch sheds the poisoned seed so its siblings still run; the
+        replacement inherits the unit's transient attempts.
         """
         if not self.policy.continue_on_error:
             raise error
@@ -578,15 +521,18 @@ class _Dispatcher:
             CellFailure(
                 cell=error.cell,
                 cause=error.cause_summary,
-                attempts=attempts,
+                attempts=attempts.get(item, 0) + 1,
                 transient=False,
                 detail=error.cause_traceback,
             )
         )
-        return list(self.split(item, error)) if self.split is not None else []
+        extras = self.split(item, error) if self.split is not None else []
+        for extra in extras:
+            attempts.setdefault(extra, attempts.get(item, 0))
+        return extras
 
     def _transient_failure(self, item: object, cause: str, attempts: int) -> None:
-        """A unit exhausted its retry budget on crashes/timeouts."""
+        """A unit exhausted its retry budget on transient failures."""
         cells = self.cells_of(item)
         if not self.policy.continue_on_error:
             raise GridCellError(
@@ -599,33 +545,47 @@ class _Dispatcher:
                 )
             )
 
+    def _retry(self, item: object, cause: str, attempts: dict) -> list:
+        """Charge ``item`` one transient attempt; returns it if budget left."""
+        attempts[item] = attempts.get(item, 0) + 1
+        if attempts[item] > self.policy.max_retries:
+            self._transient_failure(item, cause, attempts[item])
+            return []
+        return [item]
+
+    def _settle(self, item: object, result: object, attempts: dict) -> list:
+        """Record a finished unit; returns what must run again.
+
+        ``record`` returns None, or the part of the unit whose receipts
+        did not verify — that remainder costs one transient attempt.
+        """
+        remainder = self.record(item, result)
+        if remainder is None:
+            return []
+        attempts[remainder] = attempts.get(item, 0)
+        return self._retry(
+            remainder,
+            "receipt digest did not verify against the stored entry",
+            attempts,
+        )
+
     def _check_interrupt(self, remaining: int) -> None:
         if self.interrupt is not None and self.interrupt.interrupted:
             raise SweepInterrupted(remaining=remaining)
 
-    # -- serial path ----------------------------------------------------
-    def run_serial(self, pending: Sequence) -> None:
+    def run(self, pending: Sequence) -> None:
+        """Rounds until nothing is left; a round's retries form the next."""
+        round_ = (
+            self._pool_round
+            if self.jobs > 1 and len(pending) > 1
+            else self._serial_round
+        )
         queue = list(pending)
-        index = 0
-        while index < len(queue):
-            self._check_interrupt(len(queue) - index)
-            item = queue[index]
-            index += 1
-            try:
-                result = self.task(item)
-            except GridCellError as exc:
-                queue.extend(self._deterministic_failure(item, exc, attempts=1))
-                continue
-            self.record(item, result)
-
-    # -- pooled path ----------------------------------------------------
-    def run_pooled(self, pending: Sequence) -> None:
-        queue = list(pending)
-        attempts = {item: 0 for item in queue}
+        attempts: dict = {}
         while queue:
             self._check_interrupt(len(queue))
             self._backoff(queue, attempts)
-            queue = self._pool_round(queue, attempts)
+            queue = round_(queue, attempts)
 
     def _backoff(self, queue: Sequence, attempts: dict) -> None:
         """Sleep before a retry round (first round: all attempts 0 → no-op).
@@ -645,6 +605,21 @@ class _Dispatcher:
         if delay > 0:
             time.sleep(delay)
 
+    # -- serial path ----------------------------------------------------
+    def _serial_round(self, queue: list, attempts: dict) -> list:
+        """Run every unit in this process; returns the units to rerun."""
+        again: list = []
+        for index, item in enumerate(queue):
+            self._check_interrupt(len(queue) - index + len(again))
+            try:
+                result = self.task(item)
+            except GridCellError as exc:
+                again.extend(self._deterministic_failure(item, exc, attempts))
+                continue
+            again.extend(self._settle(item, result, attempts))
+        return again
+
+    # -- pooled path ----------------------------------------------------
     def _pool_round(self, queue: list, attempts: dict) -> list:
         """One pool lifetime; returns the units still needing work.
 
@@ -700,16 +675,16 @@ class _Dispatcher:
                     try:
                         result = future.result()
                     except GridCellError as exc:
-                        for extra in self._deterministic_failure(
-                            item, exc, attempts.get(item, 0) + 1
-                        ):
-                            attempts.setdefault(extra, attempts.get(item, 0))
-                            replacements.append(extra)
+                        replacements.extend(
+                            self._deterministic_failure(item, exc, attempts)
+                        )
                         handled.add(item)
                     except (BrokenProcessPool, CancelledError):
                         broken = True
                     else:
-                        self.record(item, result)
+                        replacements.extend(
+                            self._settle(item, result, attempts)
+                        )
                         handled.add(item)
                 if broken:
                     break
@@ -746,17 +721,13 @@ class _Dispatcher:
         for item in futures.values():  # insertion order == queue order
             if item in handled:
                 continue
-            attempts[item] = attempts.get(item, 0) + 1
             if item in timed_out:
                 cause = "cell timed out after %.1f s" % (
                     self.policy.cell_timeout_s * _unit_size(item)
                 )
             else:
                 cause = "worker process crashed (BrokenProcessPool)"
-            if attempts[item] > self.policy.max_retries:
-                self._transient_failure(item, cause, attempts[item])
-            else:
-                next_queue.append(item)
+            next_queue.extend(self._retry(item, cause, attempts))
         return next_queue + tail + replacements
 
     def _drain(self, futures: dict, waiting: set, attempts: dict) -> set:
@@ -764,7 +735,8 @@ class _Dispatcher:
 
         Queued futures cancel cleanly and stay pending (the resume
         re-dispatches them); already-running cells are allowed to finish
-        and are recorded/persisted so their work is not thrown away.
+        and are recorded/persisted so their work is not thrown away — a
+        remainder whose receipts did not verify stays pending too.
         """
         handled = set()
         still_running = [f for f in waiting if not f.cancel()]
@@ -774,9 +746,7 @@ class _Dispatcher:
                 result = future.result()
             except GridCellError as exc:
                 if self.policy.continue_on_error:
-                    self._deterministic_failure(
-                        item, exc, attempts.get(item, 0) + 1
-                    )
+                    self._deterministic_failure(item, exc, attempts)
                     handled.add(item)
                 # fail mode: leave it pending; the resume will retry it.
             except (BrokenProcessPool, CancelledError):
@@ -815,7 +785,7 @@ class _Dispatcher:
 def _dispatch(
     pending: Sequence[_Item],
     task: Callable[[_Item], _Result],
-    record: Callable[[_Item, _Result], None],
+    record: Callable[[_Item, _Result], _Item | None],
     jobs: int,
     policy: FaultPolicy | None = None,
     interrupt: InterruptGuard | None = None,
@@ -828,17 +798,19 @@ def _dispatch(
 ) -> None:
     """Run ``task`` over ``pending`` serially or via a process pool.
 
-    ``task`` must be picklable (a top-level function or a
-    :func:`functools.partial` of one).  ``record`` is always invoked in
-    the parent process.  Failure behaviour, retries and timeouts follow
-    ``policy`` (default: fail fast, no retries — the pre-resilience
-    contract); ``interrupt`` enables graceful SIGINT/SIGTERM draining.
-    ``initializer``/``initargs`` replace the default worker-marking pool
-    initializer (the warm path ships its :class:`_WarmSpec` this way);
-    ``reporter`` receives worker-utilization samples from the poll loop.
-    See :class:`_Dispatcher` for the semantics.
+    ``task`` must be picklable when the run is pooled (a top-level
+    function or a :func:`functools.partial` of one).  ``record`` is
+    always invoked in the parent process; it may return a remainder of
+    the unit to retry as a transient failure.  Failure behaviour,
+    retries and timeouts follow ``policy`` (default: fail fast, no
+    retries — the pre-resilience contract); ``interrupt`` enables
+    graceful SIGINT/SIGTERM draining.  ``initializer``/``initargs``
+    replace the default worker-marking pool initializer (sweeps ship
+    their :class:`_UnitSpec` this way); ``reporter`` receives
+    worker-utilization samples from the poll loop.  See
+    :class:`_Dispatcher` for the semantics.
     """
-    dispatcher = _Dispatcher(
+    _Dispatcher(
         task=task,
         record=record,
         jobs=jobs,
@@ -850,11 +822,7 @@ def _dispatch(
         initializer=initializer,
         initargs=initargs,
         reporter=reporter,
-    )
-    if jobs <= 1 or len(pending) <= 1:
-        dispatcher.run_serial(pending)
-    else:
-        dispatcher.run_pooled(pending)
+    ).run(pending)
 
 
 def _partition_cached(
@@ -887,7 +855,7 @@ def _run_cached(
     interrupt: InterruptGuard | None = None,
     on_failure: Callable[[CellFailure], None] | None = None,
 ) -> dict[_Item, _Result]:
-    """Cached per-item fan-out (:func:`discover_routes`, unbatched grids).
+    """Cached per-item fan-out (:func:`discover_routes`).
 
     Looks every item up via ``get`` first, dispatches the misses through
     :func:`_dispatch`, persists fresh results via ``put`` (in the parent
@@ -926,16 +894,16 @@ def _make_reporter(
 class ProgressReporter:
     """Console progress/ETA for a running sweep.
 
-    Writes one line per completed dispatch unit — a cell, or a whole
-    :class:`GridBatch` — to ``stream`` (default stderr, so figures piped
-    to a file stay clean)::
+    Writes one line per completed dispatch unit — a :class:`GridBatch`,
+    or a route probe's cell — to ``stream`` (default stderr, so figures
+    piped to a file stay clean)::
 
         [ 7/24] TITAN-PC @ 4 Kbit/s, seed 2       elapsed 12.3s  ETA 29.8s
         [20/24] TITAN-PC @ 4 Kbit/s, seeds 1-5    elapsed 41.0s  ETA  8.2s
 
     ``done``/``total`` and the ETA are always counted in **cells**, never
-    dispatch units, so a batched sweep (few large units) reports the same
-    scale — and the same ETA arithmetic — as a per-cell one.  ETA
+    dispatch units, so a sweep of few large units reports the same
+    scale — and the same ETA arithmetic — as one of many small ones.  ETA
     extrapolates from the mean wall-clock of live (non-cached) cells,
     measured on the **live clock** — it starts when the cache partition
     finishes, so time spent reading (possibly thousands of) cache hits
@@ -1024,8 +992,8 @@ class ProgressReporter:
 
         ``label`` names the finished dispatch unit (a :class:`GridCell` or
         :class:`GridBatch`); ``cells`` is how many grid cells it covered.
-        Extrapolating from cells — not dispatch units — keeps batched ETAs
-        honest: a 5-seed batch advances the clock 5 cells' worth.
+        Extrapolating from cells — not dispatch units — keeps ETAs honest:
+        a 5-seed batch advances the clock 5 cells' worth.
         """
         self.done += cells
         self._live_done += cells
@@ -1067,8 +1035,6 @@ def _split_batch(unit: GridBatch, error: GridCellError) -> list[GridBatch]:
     the batch as one new unit (seed order preserved), so one bad seed
     costs its own cell, not its siblings'.
     """
-    if not isinstance(unit, GridBatch):
-        return []
     survivors = tuple(
         seed for seed in unit.seeds if seed != error.cell.seed
     )
@@ -1083,51 +1049,41 @@ def run_grid(
     jobs: int = 1,
     store: ResultStore | None = None,
     progress: bool | ProgressReporter = False,
-    batch: bool = True,
     policy: FaultPolicy | None = None,
     manifest: SweepManifest | None = None,
     failures: SweepFailureReport | None = None,
     interrupt: InterruptGuard | None = None,
-    warm: bool = True,
 ) -> dict[GridCell, RunResult]:
     """Execute ``cells``, fanning out across processes and reusing the store.
+
+    The pending cells of each ``(protocol, rate)`` pair form one
+    :class:`GridBatch` dispatch unit (split further when there are fewer
+    units than ``jobs``), which shares the placement/geometry pass of
+    shared-placement scenarios across its seeds.  Results are
+    **bit-identical** to per-seed
+    :func:`repro.experiments.runner.run_single` calls whatever the
+    ``jobs``; failure granularity and the timeout budget are per unit (a
+    failing or hung seed costs every seed of its unit that was not yet
+    persisted).
 
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` runs serially in this process; results are
-        identical either way (each cell derives all randomness from its own
-        seed).
+        Worker processes.  ``1`` runs serially in this process (so does a
+        sweep with a single pending unit); results are identical either
+        way (each cell derives all randomness from its own seed).
     store:
         Optional :class:`ResultStore`; completed cells are looked up before
-        simulating and persisted after, so repeated invocations with the
-        same store perform zero new simulations.  Lookups and writes are
-        always per cell, whatever the dispatch unit.
+        simulating, and each unit writes its finished cells into the store
+        itself, returning digest receipts that are verified here before a
+        cell counts as done.  Repeated invocations with the same store
+        perform zero new simulations.  Lookups and writes are always per
+        cell, whatever the dispatch unit; afterwards ``store.writes``
+        counts the cells this sweep simulated and ``store.hits`` the cells
+        it served from the cache.
     progress:
         ``True`` for stderr progress/ETA lines, or a pre-built
         :class:`ProgressReporter`.
-    batch:
-        Group the pending cells of each ``(protocol, rate)`` pair into one
-        :class:`GridBatch` per worker invocation (the default), amortizing
-        process startup and — for shared-placement scenarios — the
-        placement/geometry pass across the group's seeds.  ``False``
-        dispatches one cell at a time.  Results are **bit-identical**
-        either way; only wall-clock and failure granularity change (a
-        failing seed discards its batch's earlier, not-yet-persisted
-        seeds).
-    warm:
-        Use the warm-worker dispatch path (the default) whenever it can
-        engage — batched, pooled (``jobs > 1``, more than one dispatch
-        unit) and store-backed.  Warm workers receive the scenario once
-        via the pool initializer, memoize shared placement/geometry
-        across their batches, write finished entries into the store
-        themselves and return ``(key, digest)`` receipts that the parent
-        re-verifies against the store before marking cells done; a cell
-        whose receipt fails verification is finished on the cold
-        (parent-write) path.  Results are **bit-identical** to the cold
-        path — the seventh leg of the determinism contract — so
-        ``warm=False`` exists for benchmarking the dispatch overhead,
-        not for correctness.
     policy:
         :class:`~repro.experiments.resilience.FaultPolicy` governing
         retries, timeouts and fail-vs-continue.  Default: fail fast.
@@ -1150,9 +1106,12 @@ def run_grid(
     ------
     GridCellError
         If any cell's simulation fails (``on_error="fail"``), naming the
-        offending ``(protocol, rate, seed)`` — under batching too.
+        offending ``(protocol, rate, seed)``.
     SweepInterrupted
         When ``interrupt`` fired; the manifest (if any) is flushed first.
+    OSError
+        Or any other store read/write error, unwrapped, in either error
+        mode; cells marked done before it are persisted and verified.
     """
     cells = list(cells)
     policy = policy if policy is not None else FaultPolicy()
@@ -1160,29 +1119,10 @@ def run_grid(
     def _key(cell: GridCell) -> str:
         return cell_key(scenario, cell.protocol, cell.rate_kbps, cell.seed)
 
-    get = (
-        (lambda cell: store.get_run(_key(cell)))
-        if store is not None
-        else lambda cell: None
-    )
     if store is not None:
         store.clean_tmp()  # reap tmp droppings from crashed writers
-        fingerprint = scenario_fingerprint(scenario)
-
-        def put(cell: GridCell, result: RunResult) -> None:
-            store.put_run(_key(cell), result, fingerprint=fingerprint)
-
-    else:
-
-        def put(cell: GridCell, result: RunResult) -> None:
-            return None
-
     if manifest is not None:
         manifest.register(scenario, cells)
-
-    def _mark_done(cell: GridCell) -> None:
-        if manifest is not None:
-            manifest.mark_done(cell)
 
     def _on_failure(failure: CellFailure) -> None:
         if failures is not None:
@@ -1194,148 +1134,94 @@ def run_grid(
 
     reporter = _make_reporter(progress, len(cells))
     reporter.jobs = max(1, jobs)
+    results, pending = _partition_cached(
+        cells,
+        (lambda cell: store.get_run(_key(cell)))
+        if store is not None
+        else (lambda cell: None),
+        reporter,
+    )
+    if manifest is not None and results:
+        manifest.note_done(list(results))
+    units = _split_for_jobs(batch_cells(pending), jobs)
+    if not units:  # nothing pending: no context, no pool
+        return results
 
+    def _record(unit: GridBatch, outcome: list) -> GridBatch | None:
+        """Fold a finished unit in; returns its seeds that did not verify."""
+        done: list[tuple[GridCell, RunResult]] = []
+        rejected: list[int] = []
+        if store is None:
+            done = list(zip(unit.cells(), outcome))
+            events = sum(result.events_processed for result in outcome)
+        else:
+            receipts = dict(zip(unit.seeds, outcome))
+            events = 0
+            for cell in unit.cells():
+                receipt = receipts.get(cell.seed)
+                entry = store.get_run_entry(_key(cell))
+                if (
+                    receipt is None
+                    or entry is None
+                    or entry[1] != receipt.digest
+                ):
+                    rejected.append(cell.seed)
+                    continue
+                done.append((cell, entry[0]))
+                events += receipt.events
+            # The cells were pending and their entries exist now: this
+            # sweep produced them (possibly in an attempt that crashed
+            # after persisting them), so each counts as one write.
+            store.writes += len(done)
+        for cell, result in done:
+            results[cell] = result
+            if manifest is not None:
+                manifest.mark_done(cell)
+        if done:
+            reporter.note_events(events)
+            reporter.advance(unit, cells=len(done))
+        if rejected:
+            return GridBatch(unit.protocol, unit.rate_kbps, tuple(rejected))
+        return None
+
+    if store is None:
+        spec = _UnitSpec(scenario, None, None, None)
+    else:
+        spec = _UnitSpec(
+            scenario,
+            scenario_fingerprint(scenario),
+            str(store.root),
+            store.backend.name,
+        )
+    pooled = jobs > 1 and len(units) > 1
+    if pooled:
+        # Longest-expected-first scheduling: keeps one slow high-rate unit
+        # from tail-blocking the campaign.  Ordering is pure wall-clock
+        # policy — the store/manifest/results are permutation-invariant
+        # (pinned by tests) — and the model is seeded from this sweep's
+        # own cache hits when it has any.
+        model = SweepCostModel(duration_s=scenario.duration)
+        model.observe_results(results.items())
+        units = model.order(units)
+        task, setup = _execute_unit, {
+            "initializer": _init_worker, "initargs": (spec,)
+        }
+    else:
+        task, setup = _UnitContext(spec).run, {}
     try:
-        if not batch:
-            results, pending = _partition_cached(cells, get, reporter)
-            if manifest is not None and results:
-                manifest.note_done(list(results))
-
-            def _record_cell(cell: GridCell, result: RunResult) -> None:
-                results[cell] = result
-                put(cell, result)
-                _mark_done(cell)
-                reporter.note_events(result.events_processed)
-                reporter.advance(cell)
-
-            _dispatch(
-                pending,
-                partial(_execute_cell, scenario),
-                _record_cell,
-                jobs,
-                policy=policy,
-                interrupt=interrupt,
-                cells_of=lambda cell: [cell],
-                on_failure=_on_failure,
-                reporter=reporter,
-            )
-            reporter.finish()
-            return results
-
-        results, pending = _partition_cached(cells, get, reporter)
-        if manifest is not None and results:
-            manifest.note_done(list(results))
-
-        def _record(unit: GridBatch, batch_results: list[RunResult]) -> None:
-            for cell, result in zip(unit.cells(), batch_results):
-                results[cell] = result
-                put(cell, result)
-                _mark_done(cell)
-            reporter.note_events(
-                sum(result.events_processed for result in batch_results)
-            )
-            reporter.advance(unit, cells=len(batch_results))
-
-        batches = _split_for_jobs(batch_cells(pending), jobs)
-        if jobs > 1 and len(batches) > 1:
-            # Longest-expected-first scheduling: keeps one slow high-rate
-            # unit from tail-blocking the campaign.  Ordering is pure
-            # wall-clock policy — the store/manifest/results are
-            # permutation-invariant (pinned by tests) — and the model is
-            # seeded from this sweep's own cache hits when it has any.
-            model = SweepCostModel(duration_s=scenario.duration)
-            model.observe_results(results.items())
-            batches = model.order(batches)
-        if warm and store is not None and jobs > 1 and len(batches) > 1:
-            failed_cells: set[GridCell] = set()
-
-            def _on_failure_warm(failure: CellFailure) -> None:
-                failed_cells.add(failure.cell)
-                _on_failure(failure)
-
-            def _record_receipts(
-                unit: GridBatch, receipts: list[CellReceipt]
-            ) -> None:
-                verified = 0
-                events = 0
-                for cell, receipt in zip(unit.cells(), receipts):
-                    entry = store.get_run_entry(_key(cell))
-                    if entry is None:
-                        continue  # worker's write vanished: cold pass re-runs
-                    result, digest = entry
-                    if digest != receipt.digest:
-                        continue  # receipt lies about what is on disk
-                    results[cell] = result
-                    _mark_done(cell)
-                    # The cell was pending, the entry exists now: this
-                    # sweep produced it (possibly via a since-crashed
-                    # worker), so it counts as a write exactly like a
-                    # parent-side put_run would.
-                    store.writes += 1
-                    verified += 1
-                    events += receipt.events
-                if verified:
-                    reporter.note_events(events)
-                    reporter.advance(unit, cells=verified)
-
-            spec = _WarmSpec(
-                scenario=scenario,
-                fingerprint=fingerprint,
-                store_root=str(store.root),
-                backend_name=store.backend.name,
-            )
-            _dispatch(
-                batches,
-                _execute_batch_warm,
-                _record_receipts,
-                jobs,
-                policy=policy,
-                interrupt=interrupt,
-                cells_of=lambda unit: unit.cells(),
-                on_failure=_on_failure_warm,
-                split=_split_batch,
-                initializer=_init_warm_worker,
-                initargs=(spec,),
-                reporter=reporter,
-            )
-            leftovers = [
-                cell
-                for cell in pending
-                if cell not in results and cell not in failed_cells
-            ]
-            if leftovers:
-                # A receipt failed verification (or a worker's write was
-                # lost/corrupted after the fact): finish those cells on
-                # the cold, parent-write path.  Bounded — one pass over
-                # the survivors — and byte-identical by contract.
-                _dispatch(
-                    _split_for_jobs(batch_cells(leftovers), jobs),
-                    partial(_execute_batch, scenario),
-                    _record,
-                    jobs,
-                    policy=policy,
-                    interrupt=interrupt,
-                    cells_of=lambda unit: unit.cells(),
-                    on_failure=_on_failure,
-                    split=_split_batch,
-                    reporter=reporter,
-                )
-            reporter.finish()
-            return results
         _dispatch(
-            batches,
-            partial(_execute_batch, scenario),
+            units,
+            task,
             _record,
-            jobs,
+            jobs if pooled else 1,
             policy=policy,
             interrupt=interrupt,
-            cells_of=lambda unit: unit.cells(),
+            cells_of=GridBatch.cells,
             on_failure=_on_failure,
             split=_split_batch,
             reporter=reporter,
+            **setup,
         )
-        reporter.finish()
-        return results
     except SweepInterrupted as exc:
         exc.done = reporter.done
         exc.total = reporter.total
@@ -1343,6 +1229,8 @@ def run_grid(
             exc.manifest_path = str(manifest.path)
             manifest.flush()
         raise
+    reporter.finish()
+    return results
 
 
 def discover_routes(
@@ -1406,25 +1294,20 @@ def run_sweep(
     jobs: int = 1,
     store: ResultStore | None = None,
     progress: bool = False,
-    batch: bool = True,
     on_aggregate: Callable[[str, float, AggregateResult], None] | None = None,
     policy: FaultPolicy | None = None,
     manifest: SweepManifest | None = None,
     failures: SweepFailureReport | None = None,
     interrupt: InterruptGuard | None = None,
-    warm: bool = True,
 ) -> dict[tuple[str, float], AggregateResult]:
     """Full protocol x rate grid, aggregated over seeds with 95% CIs.
 
     The parallel, cached engine behind
     :func:`repro.experiments.runner.sweep`.  Runs every
-    ``(protocol, rate, seed)`` cell via :func:`run_grid` (batched into
-    per-(protocol, rate) seed groups unless ``batch=False``; on the
-    warm-worker path when ``warm`` and the run is pooled and
-    store-backed), then folds each (protocol, rate) group over its seeds
-    **in ascending-seed order**, so aggregates match the serial path
-    bit-for-bit.  ``on_aggregate`` fires once per finished group
-    (console reporting hooks).
+    ``(protocol, rate, seed)`` cell via :func:`run_grid`, then folds each
+    (protocol, rate) group over its seeds **in ascending-seed order**, so
+    aggregates match the serial path bit-for-bit.  ``on_aggregate`` fires
+    once per finished group (console reporting hooks).
 
     Under ``policy.on_error == "continue"`` a group aggregates over its
     surviving seeds only; a group with no surviving seed is absent from
@@ -1440,12 +1323,10 @@ def run_sweep(
         jobs=jobs,
         store=store,
         progress=progress,
-        batch=batch,
         policy=policy,
         manifest=manifest,
         failures=failures,
         interrupt=interrupt,
-        warm=warm,
     )
     grid: dict[tuple[str, float], AggregateResult] = {}
     for protocol in protocols:

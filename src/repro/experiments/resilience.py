@@ -32,10 +32,11 @@ the common case, not the exception:
 
 The determinism contract survives all of it: a sweep that crashed,
 retried, was interrupted and resumed produces byte-identical
-``RunResult`` payloads to an undisturbed serial run — pinned seven-way
-(serial == parallel == cached == batched == interrupted-then-resumed ==
-sharded-then-merged == warm-worker) in ``tests/test_resilience.py``,
-``tests/test_backends.py`` and ``tests/test_warm_sweep.py``.  :meth:`SweepManifest.shard` /
+``RunResult`` payloads to an undisturbed serial run — pinned as
+serial == parallel == cached == interrupted-then-resumed ==
+sharded-then-merged, every leg equal to per-seed ``run_single``, in
+``tests/test_resilience.py``, ``tests/test_backends.py`` and
+``tests/test_warm_sweep.py``.  :meth:`SweepManifest.shard` /
 :meth:`SweepManifest.merge` split a campaign across machines and fold
 the checkpoints back together; the results themselves travel through
 :func:`repro.experiments.backends.merge_stores`.

@@ -4,10 +4,11 @@ The runners turn a :class:`~repro.experiments.scenarios.Scenario` into the
 rows/series the paper's figures plot:
 
 * :func:`run_single` — one (protocol, rate, seed) simulation.
-* :func:`run_batch` — all seeds of one (protocol, rate) group in one call,
-  sharing placement + frozen channel geometry when the scenario's topology
-  is seed-invariant; the batched dispatch unit of
-  :mod:`repro.experiments.parallel`.
+* :func:`run_batch` / :func:`run_batch_receipts` — all seeds of one
+  (protocol, rate) group in one call, sharing placement + frozen channel
+  geometry when the scenario's topology is seed-invariant
+  (:func:`shared_setup`); the dispatch unit of
+  :mod:`repro.experiments.parallel`, without and with a result store.
 * :func:`sweep` — full protocol x rate grid, aggregated over seeds with 95%
   confidence intervals; this regenerates Figs. 8, 9, 11, 12, 14 and Table 2.
 * :func:`frozen_route_goodput` — the §5.2.3 procedure for Figs. 13–16:
@@ -20,10 +21,9 @@ rows/series the paper's figures plot:
 processes and ``store=ResultStore(...)`` to reuse completed runs from disk.
 Results are bit-identical regardless of ``jobs`` (each cell derives all
 randomness from its own seed) and of which store backend caches them —
-the full contract is seven-way (serial == parallel == cached == batched
-== resumed == merged == warm; see :mod:`repro.experiments.parallel`,
-whose warm-worker dispatch writes entries from the pool workers
-themselves).  A completed
+the full contract is serial == parallel == cached == resumed == merged,
+with :func:`run_single` as the per-cell reference (see
+:mod:`repro.experiments.parallel`).  A completed
 sweep's store renders into a standalone HTML campaign report via
 :mod:`repro.report` (``repro report`` / ``sweep --report``).
 """
@@ -58,59 +58,95 @@ def run_single(
     return WirelessNetwork(config).run()
 
 
+def shared_setup(
+    scenario: Scenario,
+    protocol: str,
+    rate_kbps: float,
+    seeds: Sequence[int],
+):
+    """The ``(placement, geometry)`` pair one seed group can share.
+
+    When the scenario's placement does not depend on the seed
+    (:attr:`Scenario.shares_placement`: grid presets, or any preset pinned
+    via :meth:`Scenario.with_fixed_placement`) the placement is derived
+    and its :class:`~repro.sim.channel.ChannelGeometry` frozen **once**
+    for every seed that runs on it; otherwise each seed derives its own
+    and this returns ``(None, None)``.  A failure names the group's first
+    cell.
+    """
+    from repro.experiments.parallel import GridCell, GridCellError
+    from repro.sim.channel import ChannelGeometry
+
+    if not scenario.shares_placement:
+        return None, None
+    try:
+        placement = scenario.placement(seeds[0])
+        geometry = ChannelGeometry.build(
+            placement.positions, scenario.card.max_range
+        )
+    except Exception as exc:
+        cell = GridCell(protocol, float(rate_kbps), int(seeds[0]))
+        raise GridCellError.from_exception(
+            cell, exc, prefix="shared batch setup failed: "
+        ) from exc
+    return placement, geometry
+
+
+def _run_seed(
+    scenario: Scenario,
+    protocol: str,
+    rate_kbps: float,
+    seed: int,
+    placement,
+    geometry,
+) -> RunResult:
+    """One seed of a group on the shared setup; failures name the cell."""
+    from repro.experiments.parallel import GridCell, GridCellError
+    from repro.experiments.resilience import maybe_inject_fault
+
+    try:
+        maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
+        config = scenario.config(
+            protocol, rate_kbps, seed, placement=placement
+        )
+        return WirelessNetwork(config, geometry=geometry).run()
+    except Exception as exc:
+        cell = GridCell(protocol, float(rate_kbps), int(seed))
+        raise GridCellError.from_exception(cell, exc) from exc
+
+
 def run_batch(
     scenario: Scenario,
     protocol: str,
     rate_kbps: float,
     seeds: Sequence[int],
+    placement=None,
+    geometry=None,
 ) -> list[RunResult]:
     """Run all ``seeds`` of one ``(protocol, rate)`` group in one call.
 
-    The batched unit of work behind
-    :func:`repro.experiments.parallel.run_grid`: one worker invocation
-    covers a whole seed group, amortizing process startup and — when the
-    scenario's placement does not depend on the seed
-    (:attr:`Scenario.shares_placement`: grid presets, or any preset pinned
-    via :meth:`Scenario.with_fixed_placement`) — deriving the placement
-    and its frozen channel geometry **once** instead of once per seed.
-    Each seed still gets a completely fresh simulation (engine, PHYs,
-    routing state); only the immutable geometry is shared, so results are
-    bit-identical to per-seed :func:`run_single` calls.
+    The store-less unit of work behind
+    :func:`repro.experiments.parallel.run_grid`.  The seeds share one
+    :func:`shared_setup` pair — passed in by a dispatch context that
+    memoizes it across units, or derived here when ``placement`` is
+    None.  Each seed still gets a completely fresh simulation (engine,
+    PHYs, routing state); only the immutable geometry is shared, so
+    results are bit-identical to per-seed :func:`run_single` calls.
 
     Results are returned in ``seeds`` order.  A failing seed raises
     :class:`~repro.experiments.parallel.GridCellError` naming the exact
     ``(protocol, rate, seed)`` — also across process-pool boundaries;
     earlier seeds of the batch are discarded with it.
     """
-    from repro.experiments.parallel import GridCell, GridCellError
-    from repro.experiments.resilience import maybe_inject_fault
-    from repro.sim.channel import ChannelGeometry
-
     seeds = tuple(seeds)
-    placement = geometry = None
-    if scenario.shares_placement and len(seeds) > 1:
-        try:
-            placement = scenario.placement(seeds[0])
-            geometry = ChannelGeometry.build(
-                placement.positions, scenario.card.max_range
-            )
-        except Exception as exc:
-            cell = GridCell(protocol, float(rate_kbps), int(seeds[0]))
-            raise GridCellError.from_exception(
-                cell, exc, prefix="shared batch setup failed: "
-            ) from exc
-    results = []
-    for seed in seeds:
-        try:
-            maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
-            config = scenario.config(
-                protocol, rate_kbps, seed, placement=placement
-            )
-            results.append(WirelessNetwork(config, geometry=geometry).run())
-        except Exception as exc:
-            cell = GridCell(protocol, float(rate_kbps), int(seed))
-            raise GridCellError.from_exception(cell, exc) from exc
-    return results
+    if placement is None:
+        placement, geometry = shared_setup(
+            scenario, protocol, rate_kbps, seeds
+        )
+    return [
+        _run_seed(scenario, protocol, rate_kbps, seed, placement, geometry)
+        for seed in seeds
+    ]
 
 
 def run_batch_receipts(
@@ -123,29 +159,27 @@ def run_batch_receipts(
     placement=None,
     geometry=None,
 ) -> list:
-    """Run one seed group worker-side, persisting results as it goes.
+    """Run one seed group into ``store``, persisting results as it goes.
 
-    The warm-worker counterpart of :func:`run_batch`: instead of
-    accumulating :class:`RunResult` objects for the parent to pickle back
-    and persist, each finished seed is written **directly** into the
-    (multi-process-safe) result store and only a
+    The store-backed counterpart of :func:`run_batch`: instead of
+    returning :class:`RunResult` objects for the caller to persist, each
+    finished seed is written **directly** into the (multi-process-safe)
+    result store and only a
     :class:`~repro.experiments.parallel.CellReceipt` — cache key, payload
-    digest, event count — travels back over the pool, so IPC is O(digest)
-    per cell instead of O(payload).  ``placement``/``geometry`` come from
-    the worker's memoized shared-scenario state (the warm pool
-    initializer), so sibling batches reuse one frozen
-    :class:`~repro.sim.channel.ChannelGeometry` instead of re-freezing
-    per dispatch unit.
+    digest, event count — is returned, so a pool carries O(digest) per
+    cell instead of O(payload).  ``placement``/``geometry`` are the
+    group's :func:`shared_setup` pair (None: each seed derives its own).
 
     A seed whose entry already exists (a crashed-then-retried batch whose
     earlier attempt persisted it; digest-verified on read) is skipped and
     reported as a ``cached`` receipt — re-simulating it would produce the
-    same bytes anyway, per the determinism contract.  Failures raise
-    :class:`~repro.experiments.parallel.GridCellError` naming the exact
-    ``(protocol, rate, seed)``, exactly like :func:`run_batch`.
+    same bytes anyway, per the determinism contract.  Simulation failures
+    raise :class:`~repro.experiments.parallel.GridCellError` naming the
+    exact ``(protocol, rate, seed)``, exactly like :func:`run_batch`;
+    store read and write errors propagate unwrapped — they are not the
+    cell's fault, and the sweep aborts on them.
     """
-    from repro.experiments.parallel import CellReceipt, GridCell, GridCellError
-    from repro.experiments.resilience import maybe_inject_fault
+    from repro.experiments.parallel import CellReceipt
     from repro.experiments.store import cell_key_from_fingerprint
 
     receipts = []
@@ -163,16 +197,10 @@ def run_batch_receipts(
                 )
             )
             continue
-        try:
-            maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
-            config = scenario.config(
-                protocol, rate_kbps, seed, placement=placement
-            )
-            result = WirelessNetwork(config, geometry=geometry).run()
-            digest = store.put_run(key, result, fingerprint=fingerprint)
-        except Exception as exc:
-            cell = GridCell(protocol, float(rate_kbps), int(seed))
-            raise GridCellError.from_exception(cell, exc) from exc
+        result = _run_seed(
+            scenario, protocol, rate_kbps, seed, placement, geometry
+        )
+        digest = store.put_run(key, result, fingerprint=fingerprint)
         receipts.append(
             CellReceipt(
                 key=key, digest=digest, events=result.events_processed
@@ -188,17 +216,11 @@ def run_many(
     jobs: int = 1,
     store: "ResultStore | None" = None,
     progress: bool = False,
-    batch: bool = True,
     policy=None,
-    warm: bool = True,
 ) -> AggregateResult:
     """Run ``scenario.runs`` seeds of one configuration and aggregate.
 
-    Seeds fan out across ``jobs`` processes and reuse ``store`` when given;
-    with ``batch`` (the default) the seed group dispatches as one
-    :class:`~repro.experiments.parallel.GridBatch` sharing setup work, and
-    with ``warm`` (the default) a pooled, store-backed run uses the
-    warm-worker dispatch path (results bit-identical either way).
+    Seeds fan out across ``jobs`` processes and reuse ``store`` when given.
     A failing seed raises :class:`~repro.experiments.parallel.GridCellError`
     naming the offending ``(protocol, rate, seed)`` instead of an opaque
     mid-grid traceback; ``policy`` (a
@@ -214,9 +236,7 @@ def run_many(
         jobs=jobs,
         store=store,
         progress=progress,
-        batch=batch,
         policy=policy,
-        warm=warm,
     )
     return aggregate_runs([results[cell] for cell in cells])
 
@@ -229,24 +249,19 @@ def sweep(
     jobs: int = 1,
     store: "ResultStore | None" = None,
     progress: bool = False,
-    batch: bool = True,
     policy=None,
     manifest=None,
     failures=None,
     interrupt=None,
-    warm: bool = True,
 ) -> dict[tuple[str, float], AggregateResult]:
     """Full protocol x rate grid for a scenario.
 
     Returns ``{(protocol, rate): AggregateResult}``; iterate rates in inner
     order to print one figure line per protocol.  ``jobs``/``store``/
-    ``progress``/``batch``/``warm`` are forwarded to
-    :func:`repro.experiments.parallel.run_sweep`, the orchestration engine
-    (``batch`` groups each (protocol, rate)'s seeds into one dispatch
-    unit; ``warm`` lets a pooled, store-backed sweep run on the
-    warm-worker path; results are bit-identical either way), as are the
-    resilience hooks ``policy``/``manifest``/``failures``/``interrupt``
-    (see :mod:`repro.experiments.resilience`).
+    ``progress`` are forwarded to
+    :func:`repro.experiments.parallel.run_sweep`, the orchestration
+    engine, as are the resilience hooks ``policy``/``manifest``/
+    ``failures``/``interrupt`` (see :mod:`repro.experiments.resilience`).
     ``verbose`` prints one stdout line per (protocol, rate) aggregate once
     the grid completes, and turns on per-cell stderr progress so a long
     sweep stays visibly alive while it runs.
@@ -266,13 +281,11 @@ def sweep(
         jobs=jobs,
         store=store,
         progress=progress or verbose,
-        batch=batch,
         on_aggregate=_report if verbose else None,
         policy=policy,
         manifest=manifest,
         failures=failures,
         interrupt=interrupt,
-        warm=warm,
     )
 
 

@@ -116,8 +116,8 @@ class Scenario:
     #: When set, every run seed draws the *same* placement — the one this
     #: fixed seed produces — so seeds vary only traffic/protocol randomness
     #: (a fixed-topology study, like the paper's grid).  Such scenarios
-    #: share one channel-geometry pass across a whole seed batch (see
-    #: :func:`repro.experiments.runner.run_batch`).  None keeps the §5.2
+    #: share one channel-geometry pass across a sweep's seeds (see
+    #: :func:`repro.experiments.runner.shared_setup`).  None keeps the §5.2
     #: behaviour: a fresh placement per seed.
     placement_seed: int | None = None
 
@@ -133,9 +133,9 @@ class Scenario:
         """True when every run seed sees the identical placement.
 
         Grid scenarios ignore the seed by construction; ``placement_seed``
-        pins random placements explicitly.  Either way, the seeds of one
-        batch can share the placement object and its frozen channel
-        geometry (:func:`repro.experiments.runner.run_batch`).
+        pins random placements explicitly.  Either way, the seeds of a
+        sweep can share the placement object and its frozen channel
+        geometry (:func:`repro.experiments.runner.shared_setup`).
         """
         return self.grid or self.placement_seed is not None
 

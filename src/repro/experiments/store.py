@@ -132,7 +132,7 @@ def cell_key_from_fingerprint(
 ) -> str:
     """:func:`cell_key` over an already-computed scenario fingerprint.
 
-    Warm pool workers receive the fingerprint once via their initializer
+    Dispatch units receive the fingerprint once via their context
     (:mod:`repro.experiments.parallel`) and key every cell from it without
     re-deriving the scenario's structural dict per seed.  Keys are
     identical to :func:`cell_key` by construction — both digest the same
@@ -314,8 +314,8 @@ class ResultStore:
         ``fingerprint`` optionally records the scenario fingerprint
         (:func:`scenario_fingerprint`) for ``repro cache ls`` grouping;
         the payload digest for ``repro cache verify`` is always recorded.
-        Returns that payload digest — warm pool workers hand it back to
-        the orchestrating parent as their ``(key, digest)`` receipt.
+        Returns that payload digest — dispatch units hand it back to the
+        orchestrating parent as their ``(key, digest)`` receipt.
         """
         payload = result.to_payload()
         digest = _digest(payload)
@@ -328,15 +328,15 @@ class ResultStore:
     def get_run_entry(self, key: str) -> tuple[RunResult, str] | None:
         """Verified ``(result, digest)`` for ``key`` without hit/miss noise.
 
-        The receipt-verification read of the warm dispatch path: the
-        parent re-reads what a worker claims to have written and compares
+        The receipt-verification read of sweep dispatch: the parent
+        re-reads what a unit claims to have written and compares
         the recorded digest against the receipt before marking the
         manifest cell done.  Digest verification and quarantine behave
         exactly like :meth:`get_run` (a corrupt entry is set aside and
         reported absent), but the hit/miss counters stay untouched —
         the cell was already accounted for when it was partitioned as
         pending, and a verification read must not masquerade as a second
-        cache lookup.  Workers use the same read to skip seeds an earlier
+        cache lookup.  Units use the same read to skip seeds an earlier
         (crashed) attempt already persisted.
         """
         try:

@@ -15,10 +15,8 @@ Two audiences:
   it inherited and the throughput it ships.
   :func:`run_batch_benchmarks` does the same for the batched execution
   layer (per-seed amortized setup cost, ``BENCH_batch.json`` via
-  ``python -m repro perf-batch``) and :func:`run_sweep_benchmarks` for
-  the sweep dispatch layer (cold vs warm-worker dispatch of one
-  campaign, byte-compared, ``BENCH_sweep.json`` via
-  ``python -m repro perf-sweep``).
+  ``python -m repro perf-batch``).  Sweep dispatch is timed by the repo
+  benchmark (``python3 perfbench/run.py --workload campaign``).
 
 Wall-clock numbers are machine-dependent; the JSON therefore records the
 interpreter and platform next to every figure.  Events-per-second is the
@@ -185,10 +183,11 @@ def _bench_batch_setup(
     For each node count, builds a fixed-placement dense scenario
     (paper-density field, see :func:`_batch_scenario`) and times the
     **setup** of ``seeds`` simulations twice: per-cell (every seed derives
-    its placement and freezes channel geometry from scratch — what
-    ``batch=False`` dispatch pays) and batched (placement + geometry
-    derived once via :func:`repro.experiments.runner.run_batch`'s shared
-    path, then one assembly per seed).  Setup means everything before
+    its placement and freezes channel geometry from scratch, as separate
+    :func:`repro.experiments.runner.run_single` calls do) and batched
+    (placement + geometry derived once, as
+    :func:`repro.experiments.runner.shared_setup` does for a dispatch
+    unit, then one assembly per seed).  Setup means everything before
     ``sim.run()``; it is the dominant non-simulation cost of the dense
     scenarios, which is exactly what batching amortizes.
     """
@@ -592,196 +591,6 @@ def format_scale_report(report: dict) -> str:
                 entry["delivery_ratio"],
             )
         )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Warm-worker sweep benchmarks
-# ----------------------------------------------------------------------
-def _sweep_scenario(
-    node_count: int, rate_count: int, seeds: int, duration: float, field: float
-):
-    """A connectivity-constrained sparse campaign for the sweep benchmark.
-
-    The field is deliberately sparser than the paper's Table 2 density so
-    that drawing a *connected* placement takes several re-draws — the
-    placement pass is then the dominant shared setup cost, which is
-    exactly the workload warm-worker dispatch amortizes.  Everything is
-    seeded (fixed placement seed 1), so the re-draw count — and therefore
-    the workload — is identical on every machine and every run.
-    """
-    from repro.experiments.scenarios import Scenario
-
-    return Scenario(
-        name="bench-sweep-%d" % node_count,
-        node_count=node_count,
-        field_size=field,
-        flow_count=10,
-        rates_kbps=tuple(2.0 + 0.5 * step for step in range(rate_count)),
-        duration=duration,
-        runs=seeds,
-        protocols=("DSR-ODPM",),
-    ).with_fixed_placement(1)
-
-
-def _store_tree(root) -> dict[str, bytes]:
-    """Every file under ``root`` as ``{relative_path: bytes}``."""
-    from pathlib import Path
-
-    root = Path(root)
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
-
-
-def _bench_warm_sweep(
-    node_count: int,
-    rate_count: int,
-    seeds: int,
-    duration: float,
-    field: float,
-    jobs: int,
-    repeats: int,
-) -> dict:
-    """Cold vs warm dispatch of one campaign, into fresh stores each time.
-
-    Cold is the prior dispatch path (per-task setup: every batch derives
-    the placement and freezes channel geometry in its worker, every result
-    pickles back to the parent, the parent writes the store).  Warm is the
-    warm-worker path (per-worker memoized placement/geometry, worker-side
-    store writes, digest receipts).  Both run through the same pool with
-    the same ``jobs``, so the ratio isolates the dispatch overhead —
-    total work, not parallelism, on single-CPU runners.
-
-    Timings are best-of-``repeats`` minima per mode; the first repetition's
-    two store trees are byte-compared and reported as
-    ``stores_identical`` — the speedup is only meaningful if the warm
-    path produced the exact bytes the cold path did.
-    """
-    import shutil as _shutil
-    import tempfile as _tempfile
-    import time as _time
-    from pathlib import Path
-
-    from repro.experiments.parallel import grid_cells, run_grid
-    from repro.experiments.store import ResultStore
-
-    scenario = _sweep_scenario(node_count, rate_count, seeds, duration, field)
-    cells = grid_cells(scenario)
-
-    def one_pass(warm: bool) -> tuple[float, dict[str, bytes], int]:
-        tmp = _tempfile.mkdtemp(prefix="bench-sweep-")
-        try:
-            store = ResultStore(Path(tmp) / "store", backend="json")
-            start = _time.perf_counter()
-            results = run_grid(
-                scenario, cells, jobs=jobs, store=store, warm=warm
-            )
-            elapsed = _time.perf_counter() - start
-            events = sum(
-                result.events_processed for result in results.values()
-            )
-            return elapsed, _store_tree(Path(tmp) / "store"), events
-        finally:
-            _shutil.rmtree(tmp, ignore_errors=True)
-
-    cold_best = warm_best = None
-    cold_tree = warm_tree = None
-    events = 0
-    for rep in range(repeats):
-        cold_seconds, tree, events = one_pass(warm=False)
-        cold_best = min(cold_best or cold_seconds, cold_seconds)
-        if rep == 0:
-            cold_tree = tree
-        warm_seconds, tree, _ = one_pass(warm=True)
-        warm_best = min(warm_best or warm_seconds, warm_seconds)
-        if rep == 0:
-            warm_tree = tree
-    return {
-        "scenario": scenario.name,
-        "node_count": node_count,
-        "field_size": field,
-        "protocols": list(scenario.protocols),
-        "rates": rate_count,
-        "seeds": seeds,
-        "duration": duration,
-        "cells": len(cells),
-        "events": events,
-        "jobs": jobs,
-        "repeats": repeats,
-        "cold_seconds": cold_best,
-        "warm_seconds": warm_best,
-        "cold_cells_per_second": (
-            len(cells) / cold_best if cold_best else 0.0
-        ),
-        "warm_cells_per_second": (
-            len(cells) / warm_best if warm_best else 0.0
-        ),
-        "speedup": cold_best / warm_best if warm_best else 0.0,
-        "stores_identical": cold_tree == warm_tree,
-    }
-
-
-def run_sweep_benchmarks(
-    node_count: int = 500,
-    rates: int = 10,
-    seeds: int = 2,
-    duration: float = 2.0,
-    field: float = 3700.0,
-    jobs: int = 2,
-    repeats: int = 2,
-) -> dict:
-    """Warm-worker dispatch benchmark report (``BENCH_sweep.json``).
-
-    One multi-seed shared-placement campaign (10 rates x 2 seeds at a
-    connectivity-constrained sparse density, see :func:`_sweep_scenario`)
-    dispatched cold and warm into fresh stores, byte-compared, best-of-2.
-    CI runs ``python -m repro perf-sweep`` per push and uploads the report
-    as ``BENCH_sweep_ci.json``; the committed ``BENCH_sweep.json`` is the
-    dev-machine baseline quoted in ``docs/performance.md``.  Keep the
-    default workload when regenerating, or reports stop being comparable
-    (the speedup grows with placement cost and shrinks with seeds per
-    batch).
-    """
-    return {
-        "version": BENCH_FORMAT_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "benchmarks": {
-            "warm_sweep": _bench_warm_sweep(
-                node_count, rates, seeds, duration, field, jobs, repeats
-            ),
-        },
-    }
-
-
-def format_sweep_report(report: dict) -> str:
-    """Aligned summary lines of a sweep benchmark report."""
-    entry = report["benchmarks"]["warm_sweep"]
-    lines = [
-        "Warm-worker sweep dispatch (%s %s, %s)"
-        % (report["implementation"], report["python"], report["platform"]),
-        "  campaign: %d nodes, %d rates x %d seeds = %d cells, jobs=%d"
-        % (
-            entry["node_count"],
-            entry["rates"],
-            entry["seeds"],
-            entry["cells"],
-            entry["jobs"],
-        ),
-        "  cold %6.2f s (%5.2f cells/s)   warm %6.2f s (%5.2f cells/s)"
-        % (
-            entry["cold_seconds"],
-            entry["cold_cells_per_second"],
-            entry["warm_seconds"],
-            entry["warm_cells_per_second"],
-        ),
-        "  speedup %.2fx  stores byte-identical: %s"
-        % (entry["speedup"], entry["stores_identical"]),
-    ]
     return "\n".join(lines)
 
 

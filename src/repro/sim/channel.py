@@ -21,9 +21,8 @@ binned into ``max_range``-sized cells and only the 3x3 cell neighborhood
 is measured.  Every path re-measures its candidates with ``math.hypot``
 and sorts by ``(distance, rank)``, so all of them produce byte-identical
 tables; a prebuilt :class:`ChannelGeometry` can also be handed to the
-:class:`Channel` constructor so the seeds of one batched sweep group
-share a single geometry pass (see
-:func:`repro.experiments.runner.run_batch`).
+:class:`Channel` constructor so the seeds of a sweep share a single
+geometry pass (see :func:`repro.experiments.runner.shared_setup`).
 Receiver order is registration order — the same order the naive scan
 produced — because the order in which ``rx_end`` upcalls fire schedules MAC
 responses and therefore affects event sequence numbers; the determinism
@@ -124,8 +123,9 @@ class ChannelGeometry:
     Instances are immutable (tuples throughout) and safe to share: every
     ``freeze`` builds fresh mutable lists from them, so one simulation's
     mobility patches can never leak into a sibling seed's tables.  Built
-    once per batch by :func:`repro.experiments.runner.run_batch` for
-    scenarios whose placement does not depend on the seed.
+    by :func:`repro.experiments.runner.shared_setup` — once per sweep,
+    or per pool worker — for scenarios whose placement does not depend
+    on the seed.
 
     Per node the entries are stored as parallel tuples rather than tuples
     of triples — ``dists``/``dist_ranks`` sorted by ``(distance, rank)``

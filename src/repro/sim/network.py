@@ -201,8 +201,8 @@ class WirelessNetwork:
 
     ``geometry`` optionally injects a prebuilt
     :class:`~repro.sim.channel.ChannelGeometry` so the channel's freeze
-    skips its O(N^2) pair scan — the shared-setup path of
-    :func:`repro.experiments.runner.run_batch` for scenarios whose
+    skips its O(N^2) pair scan — the shared setup of
+    :func:`repro.experiments.runner.shared_setup` for scenarios whose
     placement does not depend on the seed.  Results are bit-identical with
     or without it.
     """

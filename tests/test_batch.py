@@ -211,14 +211,16 @@ class TestRunBatch:
         """Cached seeds never re-simulate; only the misses form a batch."""
         store = ResultStore(tmp_path)
         cells = grid_cells(tiny_grid)  # seeds 1..3
-        run_grid(tiny_grid, cells[:1], store=store, batch=True)
+        run_grid(tiny_grid, cells[:1], store=store)
         assert store.writes == 1
-        full = run_grid(tiny_grid, cells, store=store, batch=True)
+        full = run_grid(tiny_grid, cells, store=store)
         assert store.writes == 3  # seeds 2-3 only
         assert store.hits == 1
-        reference = run_grid(tiny_grid, cells, batch=False)
         for cell in cells:
-            assert full[cell].to_payload() == reference[cell].to_payload()
+            reference = run_single(
+                tiny_grid, cell.protocol, cell.rate_kbps, cell.seed
+            )
+            assert full[cell].to_payload() == reference.to_payload()
 
     def test_fixed_placement_enters_fingerprint(self, tiny_random):
         pinned = tiny_random.with_fixed_placement(7)
@@ -283,10 +285,12 @@ class TestBatchCells:
         """run_many-style single group + jobs=3 must split, not serialize,
         and stay bit-identical."""
         cells = grid_cells(tiny_grid)  # one group, seeds 1..3
-        reference = run_grid(tiny_grid, cells, jobs=1, batch=False)
-        split = run_grid(tiny_grid, cells, jobs=3, batch=True)
+        split = run_grid(tiny_grid, cells, jobs=3)
         for cell in cells:
-            assert split[cell].to_payload() == reference[cell].to_payload()
+            reference = run_single(
+                tiny_grid, cell.protocol, cell.rate_kbps, cell.seed
+            )
+            assert split[cell].to_payload() == reference.to_payload()
 
     def test_reporter_counts_batches_in_cells(self):
         import io
@@ -344,7 +348,7 @@ class TestMidBatchFailure:
         scenario = _exploding()
         cells = grid_cells(scenario)
         with pytest.raises(GridCellError) as excinfo:
-            run_grid(scenario, cells, jobs=2, batch=True)
+            run_grid(scenario, cells, jobs=2)
         assert excinfo.value.cell == GridCell("DSR-ODPM", 2.0, 2)
 
     def test_error_pickle_roundtrip_keeps_cell_and_message(self):

@@ -319,17 +319,18 @@ class TestLossyDeterminismContract:
         scenario = active.with_channel(spec)
         cells = grid_cells(scenario, ("DSR-ODPM",), (2.0,), seeds=(1, 2))
         pinned = GridCell("DSR-ODPM", 2.0, 1)
-        serial = run_grid(scenario, cells, jobs=1, batch=False)
-        parallel = run_grid(scenario, cells, jobs=2, batch=False)
-        batched = run_grid(scenario, cells, jobs=2, batch=True)
+        serial = run_grid(scenario, cells, jobs=1)
+        parallel = run_grid(scenario, cells, jobs=2)
         store = ResultStore(tmp_path)
-        run_grid(scenario, cells, jobs=1, batch=True, store=store)
-        cached = run_grid(scenario, cells, jobs=1, batch=True, store=store)
+        run_grid(scenario, cells, jobs=1, store=store)
+        cached = run_grid(scenario, cells, jobs=1, store=store)
         assert store.hits == len(cells)  # second pass was pure cache
         for cell in cells:
-            reference = serial[cell].to_payload()
+            reference = run_single(
+                scenario, cell.protocol, cell.rate_kbps, cell.seed
+            ).to_payload()
+            assert serial[cell].to_payload() == reference
             assert parallel[cell].to_payload() == reference
-            assert batched[cell].to_payload() == reference
             assert cached[cell].to_payload() == reference
         assert _digest(serial[pinned].to_payload()) == expected
 

@@ -223,6 +223,16 @@ class TestRunGrid:
         assert reporter.done == 2
 
 
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root`` as ``{relative_path: bytes}``."""
+    root = Path(root)
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestDeterminismContract:
     """The simulator's observable output is pinned bit-for-bit.
 
@@ -242,9 +252,9 @@ class TestDeterminismContract:
     )
 
     #: sha256 of the tiny fixture's (DSR-ODPM, 2 Kbit/s, seed 1) payload —
-    #: the cell the four-way (serial == parallel == cached == batched)
-    #: contract below is pinned against.  Recorded on the batched-execution
-    #: PR; any dispatch-mode divergence breaks it.
+    #: the cell the serial == parallel == cached contract below is pinned
+    #: against.  Recorded on the batched-execution PR; any dispatch
+    #: divergence breaks it.
     TINY_CELL_DIGEST = (
         "d038f4c678d5f4e86895ea42fa481e55b91603ff1abe311a95bff03765dfc914"
     )
@@ -267,33 +277,38 @@ class TestDeterminismContract:
 
         scenario = small_network(scale="smoke")
         cell = GridCell("DSR-ODPM", 8.0, 1)
-        results = run_grid(scenario, [cell], batch=True)
+        results = run_grid(scenario, [cell])
         assert self._digest(results[cell].to_payload()) == self.FIG8_CELL_DIGEST
 
     def test_four_way_contract_pinned(self, tiny, tmp_path):
-        """serial == parallel == cached == batched == warm, bit for bit.
+        """serial == parallel == cached == per-seed run_single, bit for bit.
 
-        One grid, five execution modes; every mode must reproduce the
-        recorded digest for the pinned cell and identical payloads for
-        every other cell.  (The warm leg's store-byte equivalence and
-        resilience behaviour are pinned in ``tests/test_warm_sweep.py``.)
+        ``jobs=1`` runs every unit in process, ``jobs=2`` in pool workers,
+        each with and without a store; every leg must reproduce the
+        recorded digest for the pinned cell and the per-seed
+        :func:`run_single` payload for every cell, and the two stores
+        must be byte-identical.  (The sqlite leg and the store counters
+        are pinned in ``tests/test_warm_sweep.py``.)
         """
         cells = grid_cells(tiny)
-        serial = run_grid(tiny, cells, jobs=1, batch=False)
-        parallel = run_grid(tiny, cells, jobs=2, batch=False)
-        batched = run_grid(tiny, cells, jobs=2, batch=True, warm=False)
-        store = ResultStore(tmp_path)
-        run_grid(tiny, cells, jobs=1, batch=True, store=store)
-        cached = run_grid(tiny, cells, jobs=1, batch=True, store=store)
-        assert store.hits == len(cells)  # second pass was pure cache
-        warm_store = ResultStore(tmp_path / "warm")
-        warm = run_grid(tiny, cells, jobs=2, batch=True, store=warm_store)
+        serial = run_grid(tiny, cells, jobs=1)
+        parallel = run_grid(tiny, cells, jobs=2)
+        serial_store = ResultStore(tmp_path / "serial")
+        stored_serial = run_grid(tiny, cells, jobs=1, store=serial_store)
+        cached = run_grid(tiny, cells, jobs=1, store=serial_store)
+        assert serial_store.hits == len(cells)  # second pass was pure cache
+        parallel_store = ResultStore(tmp_path / "parallel")
+        stored_parallel = run_grid(tiny, cells, jobs=2, store=parallel_store)
         for cell in cells:
-            reference = serial[cell].to_payload()
+            reference = run_single(
+                tiny, cell.protocol, cell.rate_kbps, cell.seed
+            ).to_payload()
+            assert serial[cell].to_payload() == reference
             assert parallel[cell].to_payload() == reference
-            assert batched[cell].to_payload() == reference
+            assert stored_serial[cell].to_payload() == reference
             assert cached[cell].to_payload() == reference
-            assert warm[cell].to_payload() == reference
+            assert stored_parallel[cell].to_payload() == reference
+        assert _tree(tmp_path / "serial") == _tree(tmp_path / "parallel")
         pinned = GridCell("DSR-ODPM", 2.0, 1)
         assert self._digest(serial[pinned].to_payload()) == self.TINY_CELL_DIGEST
 

@@ -6,9 +6,11 @@ orchestrator:
 * :class:`FaultPolicy` — validation, deterministic exponential backoff;
 * worker-crash recovery — real ``os._exit`` deaths injected via
   ``REPRO_FAULT_INJECT``, retried under a rebuilt pool to results
-  byte-identical with an undisturbed serial run (the five-way contract's
-  hardest leg), plus the retry-exhausted paths in both error modes;
-* the cell-timeout watchdog against genuinely-wedged workers;
+  byte-identical with per-seed ``run_single`` references (the
+  contract's hardest leg), plus the retry-exhausted paths in both error
+  modes;
+* the timeout watchdog against genuinely-wedged workers (the budget and
+  the failure are per dispatch unit);
 * ``continue`` mode — healthy cells finish, failed cells are reported
   with their cause/attempt count, a poisoned batch sheds only its bad
   seed;
@@ -55,7 +57,7 @@ from repro.experiments.resilience import (
     SweepInterrupted,
     SweepManifest,
 )
-from repro.experiments.runner import run_many
+from repro.experiments.runner import run_many, run_single
 from repro.experiments.scenarios import Scenario
 from repro.experiments.store import ResultStore, cell_key
 
@@ -99,8 +101,13 @@ def _digests(results) -> dict:
 
 @pytest.fixture
 def serial_digests(tiny):
-    """Reference digests from an undisturbed serial, unbatched run."""
-    return _digests(run_grid(tiny, grid_cells(tiny)))
+    """Reference digests: one undisturbed ``run_single`` per cell."""
+    return {
+        cell: _digest(
+            run_single(tiny, cell.protocol, cell.rate_kbps, cell.seed)
+        )
+        for cell in grid_cells(tiny)
+    }
 
 
 def _arm_faults(monkeypatch, tmp_path, spec: str):
@@ -177,13 +184,16 @@ class TestTracebackAcrossPool:
         assert clone.cause_summary == "boom"
 
     def test_worker_failure_names_the_real_site(self, tiny):
-        """Across the pool boundary the report still shows the origin."""
+        """Across the pool boundary the report still shows the origin.
+
+        Two (protocol, rate) groups make two units, so ``jobs=2`` runs
+        them in pool workers rather than in process.
+        """
         with pytest.raises(GridCellError) as excinfo:
             run_grid(
                 tiny,
-                [GridCell("NOPE", 2.0, 1), GridCell("NOPE", 2.0, 2)],
+                [GridCell("NOPE", 2.0, 1), GridCell("NOPE", 4.0, 1)],
                 jobs=2,
-                batch=False,
             )
         assert excinfo.value.cause_traceback is not None
         assert "ValueError" in excinfo.value.cause_traceback
@@ -218,7 +228,6 @@ class TestContinueOnError:
         results = run_grid(
             tiny,
             cells,
-            batch=False,
             policy=FaultPolicy(on_error="continue"),
             failures=failures,
         )
@@ -253,7 +262,6 @@ class TestContinueOnError:
             tiny,
             grid_cells(tiny),
             jobs=2,
-            batch=True,
             policy=FaultPolicy(on_error="continue"),
             failures=failures,
         )
@@ -284,7 +292,6 @@ class TestCrashRecovery:
             tiny,
             grid_cells(tiny),
             jobs=2,
-            batch=True,
             policy=FaultPolicy(max_retries=6, backoff_base_s=0.01),
         )
         markers = list(faults.iterdir())
@@ -329,7 +336,8 @@ class TestCrashRecovery:
     def test_timeout_watchdog_reclaims_a_wedged_worker(
         self, tiny, monkeypatch, tmp_path
     ):
-        """A cell that hangs forever is terminated and reported, siblings run."""
+        """A cell that hangs forever is terminated and reported with its
+        unit-mate; the other unit runs."""
         _arm_faults(monkeypatch, tmp_path, ":99:hang:2#1")
         failures = SweepFailureReport()
         started = time.monotonic()
@@ -337,7 +345,6 @@ class TestCrashRecovery:
             tiny,
             grid_cells(tiny),
             jobs=2,
-            batch=False,
             policy=FaultPolicy(
                 max_retries=1,
                 backoff_base_s=0.01,
@@ -348,13 +355,15 @@ class TestCrashRecovery:
         )
         elapsed = time.monotonic() - started
         assert elapsed < 60.0  # never waited for the hour-long sleep
-        assert PINNED_CELL not in results
-        assert PINNED_CELL in [f.cell for f in failures]
-        hung = next(f for f in failures if f.cell == PINNED_CELL)
-        assert "timed out" in hung.cause
-        assert hung.transient
-        # The three healthy cells all completed despite collateral kills.
-        assert set(results) == set(grid_cells(tiny)) - {PINNED_CELL}
+        # The timeout budget and the failure are per unit: the hung cell
+        # takes its 2 Kbit/s unit-mate down with it...
+        unit = {PINNED_CELL, GridCell("DSR-ODPM", 2.0, 2)}
+        assert sorted(f.cell for f in failures) == sorted(unit)
+        for failure in failures:
+            assert "timed out" in failure.cause
+            assert failure.transient
+        # ...while the 4 Kbit/s unit completes despite collateral kills.
+        assert set(results) == set(grid_cells(tiny)) - unit
 
 
 class TestManifest:
@@ -467,11 +476,12 @@ class TestInterruptedThenResumed:
     def test_five_way_contract_interrupted_leg(
         self, tiny, tmp_path, serial_digests
     ):
-        """Interrupt after one cell, resume, match the serial digests.
+        """Interrupt after one unit, resume, match the serial digests.
 
         The interruption is triggered deterministically (the guard flag
-        flips after the first completed cell), so this test pins the
-        exact done/pending split rather than racing a real signal.
+        flips after the first completed unit — both seeds of the 2 Kbit/s
+        group), so this test pins the exact done/pending split rather
+        than racing a real signal.
         """
         cells = grid_cells(tiny)
         store = ResultStore(tmp_path / "cache")
@@ -487,31 +497,31 @@ class TestInterruptedThenResumed:
             run_grid(
                 tiny,
                 cells,
-                batch=False,
                 store=store,
                 progress=InterruptAfterFirst(total=len(cells), enabled=False),
                 manifest=SweepManifest.open(manifest_path),
                 interrupt=guard,
             )
-        assert excinfo.value.done == 1
+        first_unit = 2  # seeds 1 and 2 of the 2 Kbit/s group
+        assert excinfo.value.done == first_unit
         assert excinfo.value.total == len(cells)
         assert excinfo.value.manifest_path == str(manifest_path)
 
         checkpoint = SweepManifest.load(manifest_path)
         counts = checkpoint.counts()
-        assert counts["done"] == 1
-        assert counts["pending"] == len(cells) - 1
+        assert counts["done"] == first_unit
+        assert counts["pending"] == len(cells) - first_unit
 
         resumed_store = ResultStore(tmp_path / "cache")
         resumed = run_grid(
             tiny,
             cells,
-            batch=False,
             store=resumed_store,
             manifest=checkpoint,
             interrupt=InterruptGuard(),
         )
-        assert resumed_store.hits == 1  # the pre-interrupt cell came back
+        # The pre-interrupt unit's cells came back from the store.
+        assert resumed_store.hits == first_unit
         assert _digests(resumed) == serial_digests
         assert _digest(resumed[PINNED_CELL]) == TINY_CELL_DIGEST
         final = SweepManifest.load(manifest_path)
