@@ -280,6 +280,33 @@ class TestDeterminismContract:
         results = run_grid(scenario, [cell])
         assert self._digest(results[cell].to_payload()) == self.FIG8_CELL_DIGEST
 
+    #: sha256 of DSDV-family and Span payloads at seed 1, recorded before
+    #: the one-pass DSDV merge and inline PHY receive charging.  The
+    #: mobile cell moves link distances between updates, so it breaks if
+    #: link costs are ever memoized per sender.
+    PROACTIVE_CELL_DIGESTS = {
+        ("small", "DSDVH-ODPM", 8.0):
+            "eea8a71c9a96e8673717212cdf5085ee7d6f4f3a87f6bbb2dd1fb0beac899a4b",
+        ("small", "DSDV-ODPM", 8.0):
+            "27d9cd0559521f44ec279f222fc6f3b55f042c2607024b94eb84add7ba41f420",
+        ("small", "DSDVH-ODPM(0.6,1.2)-Span", 8.0):
+            "5f13193e84bdc5a9207ef092fa3a67e7eef0093d1f549df23ef6abffcb08594d",
+        ("mobile", "DSDVH-ODPM", 4.0):
+            "017df890d505bdbbbbcf60a094f43ff0b3accae338c12b29cb5c09f9965bc608",
+    }
+
+    @pytest.mark.parametrize(
+        "scenario_name, protocol, rate_kbps", sorted(PROACTIVE_CELL_DIGESTS)
+    )
+    def test_proactive_cell_digest_pinned(self, scenario_name, protocol, rate_kbps):
+        from repro.experiments.scenarios import mobile_small, small_network
+
+        build = {"small": small_network, "mobile": mobile_small}[scenario_name]
+        result = run_single(build(scale="smoke"), protocol, rate_kbps, seed=1)
+        assert self._digest(result.to_payload()) == (
+            self.PROACTIVE_CELL_DIGESTS[(scenario_name, protocol, rate_kbps)]
+        )
+
     def test_four_way_contract_pinned(self, tiny, tmp_path):
         """serial == parallel == cached == per-seed run_single, bit for bit.
 
