@@ -1,8 +1,10 @@
 """Proactive (table-driven) routing: the DSDV family (§4.2).
 
 DSDV (Perkins & Bhagwat [20]) maintains a route to every destination via
-sequence-numbered distance-vector updates: periodic full dumps plus triggered
-incremental updates on route changes.  DSDVH is the paper's proactive joint
+sequence-numbered distance-vector updates: periodic dumps plus triggered
+updates on route changes.  Both kinds advertise every non-stale table entry
+(there are no incremental updates); ``DsdvUpdate.full_dump`` only records
+which of the two caused the broadcast.  DSDVH is the paper's proactive joint
 optimization: the distance metric is the joint cost ``h(u, v)`` of Eq. 12,
 and — crucially — a *triggered update fires whenever a node's
 power-management state changes*, because that changes the cost of every
@@ -12,15 +14,24 @@ overhead that makes DSDVH-ODPM as expensive as an always-on network in
 Fig. 9.
 
 Data is forwarded hop-by-hop by table lookup (no source routes).  Packets
-with no route yet are buffered briefly (DSDV's settling delay at flow start)
-and dropped if no route forms.
+originated with no route yet wait in a :class:`~repro.routing.base.SendBuffer`
+(DSDV's settling delay at flow start) until an update installs one.  No
+timer drops them: only the per-destination cap evicts the oldest, counted
+in ``SendBuffer.dropped_overflow`` (which no run result reports).
+
+Performance notes: every awake neighbour merges every broadcast update, so
+:meth:`ProactiveProtocol._on_update` runs once per received update and
+walks all of its entries.  Adverts are immutable tuples, so the merge
+unpacks them instead of reading attributes, and each table entry carries
+the advert it is re-broadcast as, built once when the route is adopted;
+a broadcast then only collects those shared adverts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.radio import PowerMode
 from repro.routing.base import NodeContext, RoutingProtocol, SendBuffer
@@ -38,9 +49,12 @@ ROUTE_LIFETIME_INTERVALS = 3
 INFINITE_METRIC = math.inf
 
 
-@dataclass(frozen=True)
-class UpdateEntry:
-    """One advertised destination: metric and destination sequence number."""
+class UpdateEntry(NamedTuple):
+    """One advertised destination: metric and destination sequence number.
+
+    Immutable and shared: the table entry that advertises a route and every
+    update payload it went out in hold the same object.
+    """
 
     destination: int
     metric: float
@@ -60,12 +74,24 @@ class DsdvUpdate:
         return UPDATE_BASE_BYTES + ENTRY_BYTES * len(self.entries)
 
 
-@dataclass
 class _TableEntry:
-    next_hop: int
-    metric: float
-    seqno: int
-    updated_at: float
+    """A route: next hop, metric, seqno, install time and its advert.
+
+    Entries are replaced, never mutated, so ``advert`` always matches the
+    destination, metric and seqno the route is broadcast with.
+    """
+
+    __slots__ = ("next_hop", "metric", "seqno", "updated_at", "advert")
+
+    def __init__(
+        self, destination: int, next_hop: int, metric: float, seqno: int,
+        updated_at: float,
+    ) -> None:
+        self.next_hop = next_hop
+        self.metric = metric
+        self.seqno = seqno
+        self.updated_at = updated_at
+        self.advert = UpdateEntry(destination, metric, seqno)
 
 
 class ProactiveProtocol(RoutingProtocol):
@@ -92,7 +118,6 @@ class ProactiveProtocol(RoutingProtocol):
         self._last_triggered = -math.inf
         self._trigger_pending = False
         self._rng = node.sim.rng("dsdv-%d" % node.node_id)
-        #: Upcall installed on the power manager when trigger_on_mode_change.
         self.triggered_updates = 0
         self.periodic_updates = 0
 
@@ -134,13 +159,14 @@ class ProactiveProtocol(RoutingProtocol):
         self.sim.schedule(delay, _fire)
 
     def _broadcast_update(self, full_dump: bool) -> None:
-        entries = [UpdateEntry(self.node.node_id, 0.0, self._own_seqno)]
         now = self.sim.now
         lifetime = ROUTE_LIFETIME_INTERVALS * self.update_interval
-        for destination, entry in self.table.items():
-            if now - entry.updated_at > lifetime:
-                continue
-            entries.append(UpdateEntry(destination, entry.metric, entry.seqno))
+        entries = [UpdateEntry(self.node.node_id, 0.0, self._own_seqno)]
+        entries += [
+            entry.advert
+            for entry in self.table.values()
+            if now - entry.updated_at <= lifetime
+        ]
         update = DsdvUpdate(
             sender=self.node.node_id,
             sender_mode=self.node.power.mode,
@@ -201,55 +227,59 @@ class ProactiveProtocol(RoutingProtocol):
     # Distance-vector processing
     # ------------------------------------------------------------------
     def _on_update(self, update: DsdvUpdate) -> None:
+        """Merge a neighbour's update into the table, one pass over it.
+
+        An advert is adopted when the destination is new and reachable,
+        when its seqno is newer, when the seqno is equal and the metric
+        lower, or when it comes from the current next hop with a changed
+        metric.  An ``inf`` advert needs no special case: link costs are
+        finite and non-negative, so ``inf + link_cost`` is ``inf``.
+        Packets buffered for a destination leave as soon as it gets a
+        finite route, in entry order.
+        """
         me = self.node.node_id
         sender = update.sender
         link_cost = self.cost(
             self.link_distance(sender), update.sender_mode, None
         )
+        table = self.table
+        current_entry = table.get
+        pending = self.buffer.pending
         changed = False
-        for advertised in update.entries:
-            destination = advertised.destination
-            if destination == me:
-                continue
-            metric = (
-                advertised.metric + link_cost
-                if not math.isinf(advertised.metric)
-                else INFINITE_METRIC
-            )
-            current = self.table.get(destination)
-            adopt = False
+        for destination, metric, seqno in update.entries:
+            metric += link_cost
+            current = current_entry(destination)
             if current is None:
-                adopt = not math.isinf(metric)
-            elif advertised.seqno > current.seqno:
-                adopt = True
-            elif advertised.seqno == current.seqno and metric < current.metric:
-                adopt = True
-            elif current.next_hop == sender and metric != current.metric:
+                # The table never holds this node itself, so the advert of
+                # a route to us is always skipped here.
+                if destination == me or metric == INFINITE_METRIC:
+                    continue
+            elif not (
+                seqno > current.seqno
+                or (seqno == current.seqno and metric < current.metric)
                 # Metric through our own next hop changed; track it.
-                adopt = True
-            if adopt:
-                self.table[destination] = _TableEntry(
-                    next_hop=sender,
-                    metric=metric,
-                    seqno=advertised.seqno,
-                    updated_at=self.sim.now,
-                )
-                changed = True
-                self._drain_buffer(destination)
+                or (current.next_hop == sender and metric != current.metric)
+            ):
+                continue
+            table[destination] = _TableEntry(
+                destination, sender, metric, seqno, self.sim.now
+            )
+            changed = True
+            if metric != INFINITE_METRIC and pending(destination):
+                self._drain_buffer(destination, sender)
         if changed and self.trigger_on_mode_change:
             # DSDVH propagates cost changes; plain DSDV waits for the
             # periodic dump (full DSDV would also trigger on new seqno,
             # which we fold into the periodic cycle to bound overhead).
             self._schedule_triggered_update()
 
-    def _drain_buffer(self, destination: int) -> None:
-        entry = self.table.get(destination)
-        if entry is None or math.isinf(entry.metric):
-            return
+    def _drain_buffer(self, destination: int, next_hop: int) -> None:
+        """Send every packet buffered for ``destination`` via ``next_hop``."""
+        distance = self.data_tx_distance(next_hop)
         for packet in self.buffer.pop_all(destination):
-            frame = packet.copy_for_hop(self.node.node_id, entry.next_hop)
+            frame = packet.copy_for_hop(self.node.node_id, next_hop)
             frame.payload = None
-            self.node.mac.send(frame, self.data_tx_distance(entry.next_hop))
+            self.node.mac.send(frame, distance)
 
     # ------------------------------------------------------------------
     def on_link_failure(self, next_hop: int, packet: Packet) -> None:
@@ -258,10 +288,11 @@ class ProactiveProtocol(RoutingProtocol):
         for destination, entry in self.table.items():
             if entry.next_hop == next_hop and not math.isinf(entry.metric):
                 self.table[destination] = _TableEntry(
-                    next_hop=next_hop,
-                    metric=INFINITE_METRIC,
-                    seqno=entry.seqno + 1,  # odd: broken-route sequence number
-                    updated_at=self.sim.now,
+                    destination,
+                    next_hop,
+                    INFINITE_METRIC,
+                    entry.seqno + 1,  # odd: broken-route sequence number
+                    self.sim.now,
                 )
                 changed = True
         if packet.kind is PacketKind.DATA:

@@ -20,10 +20,15 @@ Reception semantics (resolved here, signalled by the channel):
 Performance notes: the PHY sits on the per-frame fan-out hot path — every
 transmission triggers ``rx_start``/``rx_end`` on every node in reach, which
 makes these methods (and the energy charge they perform per state change)
-the most-called code in a run.  The class is slotted, radio states are
-compared against module-level aliases, and the state-branch ladder that
-used to classify each charge is replaced by a per-state dispatch table
-built once in ``__init__``.
+the most-called code in a run.  The class is slotted and radio states are
+compared against module-level aliases.  ``rx_start`` and ``rx_end`` charge
+the period that ends inline: they know the state they leave (idle, or
+receive classified by the first frame in flight), so they call the one
+``NodeEnergy.charge_*`` method directly.  The rarer state changes (sleep,
+wake, transmit, end of transmission, finalize) go through
+``_charge_elapsed`` and its per-state dispatch table built once in
+``__init__``.  Either way the ledger sees exactly one charge call per state
+change, with the same elapsed time at the same moment.
 """
 
 from __future__ import annotations
@@ -353,7 +358,18 @@ class Phy:
                     corrupted.add(other.uid)
                 corrupted.add(packet.uid)
         else:
-            self._set_state(_RECEIVE)
+            # Inline ``_set_state(_RECEIVE)``: charge the period that ends
+            # now.  No frame is in flight, so a receive state (never left
+            # with an empty list in practice) is a control reception.
+            now = self.sim.now
+            elapsed = now - self._state_since
+            self._state_since = now
+            if elapsed > 0:
+                if state is _IDLE:
+                    self.energy.charge_idle(elapsed)
+                else:
+                    self.energy.charge_control_rx(elapsed)
+            self._state = _RECEIVE
         rx_packets.append(packet)
         return True
 
@@ -398,16 +414,22 @@ class Phy:
             missed.discard(uid)
             return
         rx_packets = self._rx_packets
-        state = self._state
-        receiving = packet in rx_packets
-        if state is _RECEIVE and receiving:
-            # Charge the receive period now, while the frame is still in the
-            # list, so the energy is classified by the right packet kind.
-            self._charge_elapsed()
-        if not receiving:
+        if packet not in rx_packets:
             # Lost mid-frame to sleep or our own transmission.
             self._rx_corrupted.discard(uid)
             return
+        state = self._state
+        if state is _RECEIVE:
+            # Charge the receive period now, while the frame is still in the
+            # list, so the energy is classified by the frame that started it.
+            now = self.sim.now
+            elapsed = now - self._state_since
+            self._state_since = now
+            if elapsed > 0:
+                if rx_packets[0].is_control:
+                    self.energy.charge_control_rx(elapsed)
+                else:
+                    self.energy.charge_data_rx(elapsed)
         rx_packets.remove(packet)
         corrupted_set = self._rx_corrupted
         corrupted = uid in corrupted_set

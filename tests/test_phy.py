@@ -189,3 +189,90 @@ class TestCollisions:
         phys[1].finalize()
         assert phys[1].frames_received == 0
         assert phys[1].energy.data_rx > 0  # the radio was occupied regardless
+
+
+class _RecordingEnergy(NodeEnergy):
+    """Ledger that also records every charge call as ``(name, duration)``."""
+
+    def __init__(self, card):
+        super().__init__(card=card)
+        self.calls = []
+
+    def charge_idle(self, duration):
+        self.calls.append(("idle", duration))
+        return super().charge_idle(duration)
+
+    def charge_control_rx(self, duration, track_time=True):
+        self.calls.append(("control_rx", duration))
+        return super().charge_control_rx(duration, track_time)
+
+    def charge_data_rx(self, duration):
+        self.calls.append(("data_rx", duration))
+        return super().charge_data_rx(duration)
+
+
+class TestReceiveEnergyClassification:
+    """A receive period is charged by the frame that started it.
+
+    Node 1 hears both 0 and 2, which cannot hear each other.  The second
+    frame starts inside the first and ends before it, so each pair is one
+    receive period and ``rx_packets[0]`` is the first frame throughout.
+    """
+
+    START = 1.0
+
+    def _listen(self, first, second=None, offset=0.001):
+        from repro.sim.phy import Phy
+
+        sim = Simulator()
+        positions = {0: (0, 0), 1: (200, 0), 2: (400, 0)}
+        channel = Channel(sim, positions, max_range=250.0)
+        energy = {node: _RecordingEnergy(CABLETRON) for node in positions}
+        phys = {
+            node: Phy(sim, channel, node, CABLETRON, energy[node])
+            for node in positions
+        }
+        sim.schedule(self.START, lambda: phys[0].transmit(first))
+        if second is not None:
+            sim.schedule(self.START + offset, lambda: phys[2].transmit(second))
+        sim.run(until=2.0)
+        phys[1].finalize()
+        assert phys[1].frames_collided == (0 if second is None else 1)
+        return energy[1]
+
+    @staticmethod
+    def _airtime(packet):
+        return packet.size_bits / CABLETRON.bandwidth
+
+    def test_lone_control_frame_charges_control_rx_only(self):
+        frame = make_control_packet(PacketKind.RTS, src=0, dst=1)
+        energy = self._listen(frame)
+        airtime = self._airtime(frame)
+        assert [name for name, _ in energy.calls] == ["idle", "control_rx", "idle"]
+        assert energy.calls[1][1] == pytest.approx(airtime)
+        assert energy.control_rx == pytest.approx(airtime * CABLETRON.p_rx)
+        assert energy.data_rx == 0.0
+
+    def test_control_then_data_charges_control_rx(self):
+        control = make_control_packet(
+            PacketKind.ROUTING, src=0, dst=BROADCAST, size_bytes=1500
+        )
+        data = make_data_packet(origin=2, final_dst=1, src=2, dst=1,
+                                payload_bytes=16)
+        energy = self._listen(control, data)
+        names = [name for name, _ in energy.calls]
+        assert names == ["idle", "control_rx", "control_rx", "idle"]
+        period = sum(duration for name, duration in energy.calls[1:3])
+        assert period == pytest.approx(self._airtime(control))
+        assert energy.data_rx == 0.0
+
+    def test_data_then_control_charges_data_rx(self):
+        data = make_data_packet(origin=0, final_dst=1, src=0, dst=1,
+                                payload_bytes=1400)
+        control = make_control_packet(PacketKind.RTS, src=2, dst=1)
+        energy = self._listen(data, control)
+        names = [name for name, _ in energy.calls]
+        assert names == ["idle", "data_rx", "data_rx", "idle"]
+        period = sum(duration for name, duration in energy.calls[1:3])
+        assert period == pytest.approx(self._airtime(data))
+        assert energy.control_rx == 0.0
