@@ -25,7 +25,7 @@ compared against module-level aliases.  ``rx_start`` and ``rx_end`` charge
 the period that ends inline: they know the state they leave (idle, or
 receive classified by the first frame in flight), so they call the one
 ``NodeEnergy.charge_*`` method directly.  The rarer state changes (sleep,
-wake, transmit, end of transmission, finalize) go through
+wake, transmit, end of transmission, finalize, failure) go through
 ``_charge_elapsed`` and its per-state dispatch table built once in
 ``__init__``.  Either way the ledger sees exactly one charge call per state
 change, with the same elapsed time at the same moment.
@@ -126,6 +126,10 @@ class Phy:
         self._halt_energy = False
         self._tx_packet: Packet | None = None
         self._tx_distance: float | None = None
+        #: Frames in flight, in arrival order.  Non-empty exactly while the
+        #: radio is in receive state: only ``rx_start`` enters that state,
+        #: as it adds the first frame, and every path that empties the list
+        #: leaves it.  The receive-path charges below rely on this.
         self._rx_packets: list[Packet] = []
         self._rx_corrupted: set[int] = set()
         self._rx_missed: set[int] = set()
@@ -358,17 +362,12 @@ class Phy:
                     corrupted.add(other.uid)
                 corrupted.add(packet.uid)
         else:
-            # Inline ``_set_state(_RECEIVE)``: charge the period that ends
-            # now.  No frame is in flight, so a receive state (never left
-            # with an empty list in practice) is a control reception.
+            # No frame in flight, so the radio was idle until now.
             now = self.sim.now
             elapsed = now - self._state_since
             self._state_since = now
             if elapsed > 0:
-                if state is _IDLE:
-                    self.energy.charge_idle(elapsed)
-                else:
-                    self.energy.charge_control_rx(elapsed)
+                self.energy.charge_idle(elapsed)
             self._state = _RECEIVE
         rx_packets.append(packet)
         return True
@@ -418,23 +417,21 @@ class Phy:
             # Lost mid-frame to sleep or our own transmission.
             self._rx_corrupted.discard(uid)
             return
-        state = self._state
-        if state is _RECEIVE:
-            # Charge the receive period now, while the frame is still in the
-            # list, so the energy is classified by the frame that started it.
-            now = self.sim.now
-            elapsed = now - self._state_since
-            self._state_since = now
-            if elapsed > 0:
-                if rx_packets[0].is_control:
-                    self.energy.charge_control_rx(elapsed)
-                else:
-                    self.energy.charge_data_rx(elapsed)
+        # Charge the receive period now, while the frame is still in the
+        # list, so the energy is classified by the frame that started it.
+        now = self.sim.now
+        elapsed = now - self._state_since
+        self._state_since = now
+        if elapsed > 0:
+            if rx_packets[0].is_control:
+                self.energy.charge_control_rx(elapsed)
+            else:
+                self.energy.charge_data_rx(elapsed)
         rx_packets.remove(packet)
         corrupted_set = self._rx_corrupted
         corrupted = uid in corrupted_set
         corrupted_set.discard(uid)
-        if not rx_packets and state is _RECEIVE:
+        if not rx_packets:
             # The receive period was charged above (same instant), so the
             # state flip skips `_set_state`'s zero-elapsed charge call.
             self._state = _IDLE

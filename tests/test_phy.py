@@ -276,3 +276,48 @@ class TestReceiveEnergyClassification:
         period = sum(duration for name, duration in energy.calls[1:3])
         assert period == pytest.approx(self._airtime(data))
         assert energy.control_rx == 0.0
+
+
+class TestReceiveStateInvariant:
+    """The radio is in receive state exactly while a frame is in flight.
+
+    ``rx_start`` and ``rx_end`` charge the ending period by this rule
+    (idle before the first frame, receive while any is in flight), so
+    every PHY entry point must keep it, on whole runs with capture,
+    sleep and churn failures.
+    """
+
+    ENTRY_POINTS = ("rx_start", "rx_end", "transmit", "tx_end", "sleep",
+                    "wake", "fail")
+
+    @pytest.mark.parametrize("preset, protocol, rate_kbps", [
+        ("small_network", "DSR-ODPM", 8.0),
+        ("small_network", "DSDVH-ODPM", 8.0),
+        ("churn_grid", "DSR-ODPM", 2.0),
+    ])
+    def test_invariant_holds_on_whole_runs(
+        self, monkeypatch, preset, protocol, rate_kbps
+    ):
+        from dataclasses import replace
+
+        from repro.experiments import scenarios
+        from repro.sim.network import WirelessNetwork
+        from repro.sim.phy import Phy
+
+        calls = []
+
+        def checked(name, method):
+            def wrapper(phy, *args, **kwargs):
+                result = method(phy, *args, **kwargs)
+                calls.append(name)
+                assert (phy.state is RadioState.RECEIVE) == bool(phy._rx_packets)
+                return result
+            return wrapper
+
+        for name in self.ENTRY_POINTS:
+            monkeypatch.setattr(Phy, name, checked(name, getattr(Phy, name)))
+        scenario = getattr(scenarios, preset)(scale="smoke")
+        config = replace(scenario.config(protocol, rate_kbps, 1), capture_ratio=2.0)
+        WirelessNetwork(config).run()
+        assert {"rx_start", "rx_end", "sleep", "wake"} <= set(calls)
+        assert ("fail" in calls) == (preset == "churn_grid")
