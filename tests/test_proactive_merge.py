@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.radio import CABLETRON, PowerMode
-from repro.routing.base import SendBuffer
 from repro.routing.costs import HopCount, JointCost
 from repro.routing.proactive import (
     INFINITE_METRIC,
@@ -115,9 +114,7 @@ def _protocol(cls, cost, trigger, sends, power_control=True):
     )
     protocol = cls(node, cost=cost, trigger_on_mode_change=trigger)
     protocol.triggers = []
-    protocol._schedule_triggered_update = lambda: protocol.triggers.append(
-        len(protocol.triggers)
-    )
+    protocol._schedule_triggered_update = lambda: protocol.triggers.append(True)
     return protocol
 
 
@@ -158,7 +155,8 @@ updates = st.builds(
     full_dump=st.booleans(),
 )
 buffered = st.dictionaries(neighbours, st.integers(1, 3), max_size=4)
-costs = st.sampled_from([HopCount(), JointCost(CABLETRON)])
+#: The link costs of DSDV and DSDVH.
+costs = st.sampled_from([HopCount(), JointCost(CABLETRON, use_rate=False)])
 
 
 class TestMergeEquivalence:
@@ -209,11 +207,12 @@ class TestMergeEquivalence:
 
     def test_inf_advert_sum_stays_inf(self):
         """Why the merge needs no ``isinf`` branch: costs are finite."""
-        for cost in (HopCount(), JointCost(CABLETRON)):
+        for cost in (HopCount(), JointCost(CABLETRON, use_rate=False)):
             for mode in (PowerMode.ACTIVE, PowerMode.POWER_SAVE):
-                link_cost = cost(CABLETRON.max_range, mode, None)
-                assert math.isfinite(link_cost) and link_cost >= 0.0
-                assert INFINITE_METRIC + link_cost == INFINITE_METRIC
+                for distance in (0.0, 1.0, CABLETRON.max_range):
+                    link_cost = cost(distance, mode, None)
+                    assert math.isfinite(link_cost) and link_cost >= 0.0
+                    assert INFINITE_METRIC + link_cost == INFINITE_METRIC
 
 
 class TestAdvertSharing:
