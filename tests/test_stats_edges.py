@@ -79,6 +79,50 @@ class TestMeanCi:
         with pytest.raises(ValueError, match="confidence"):
             mean_ci([1.0, 2.0], confidence=1.0)
 
+    #: scipy's ``t.ppf((1 + confidence) / 2, df)``, recorded bit for bit
+    #: before the scipy import moved into ``mean_ci``.  df 1, 2, 4 and 9
+    #: are the bench presets (2 seeds), ``large_grid`` (3) and paper
+    #: scale (5 or 10).  scipy's quantile is not correctly rounded (it is
+    #: a few ulp off the true root for many pairs), so any other quantile
+    #: implementation fails these pins.
+    T_QUANTILES = {
+        (1, 0.90): 6.313751514675037,
+        (1, 0.95): 12.706204736174694,
+        (1, 0.99): 63.656741162871526,
+        (2, 0.90): 2.9199855803537242,
+        (2, 0.95): 4.302652729749462,
+        (2, 0.99): 9.924843200918287,
+        (4, 0.90): 2.1318467863266495,
+        (4, 0.95): 2.7764451051977934,
+        (4, 0.99): 4.604094871349992,
+        (9, 0.90): 1.833112932656237,
+        (9, 0.95): 2.262157162798205,
+        (9, 0.99): 3.249835541592126,
+    }
+
+    @pytest.mark.parametrize("df, confidence", sorted(T_QUANTILES))
+    def test_half_width_pins_the_t_quantile(self, df, confidence):
+        """``[0, n, ..., n]`` has variance exactly ``n``, so its standard
+        error is exactly 1.0 and the half-width is the quantile itself."""
+        n = df + 1
+        interval = mean_ci([0.0] + [float(n)] * df, confidence)
+        assert interval.mean == float(df)
+        assert interval.half_width == self.T_QUANTILES[(df, confidence)]
+
+    @pytest.mark.parametrize(
+        "n, confidence, half_width",
+        [
+            (2, 0.95, 6.353102368087347),
+            (3, 0.95, 2.48413771175033),
+            (5, 0.90, 1.5074433190623229),
+            (5, 0.95, 1.9632431614775572),
+            (10, 0.99, 3.1114806432703017),
+        ],
+    )
+    def test_half_width_of_a_spread_sample(self, n, confidence, half_width):
+        interval = mean_ci([float(i) for i in range(1, n + 1)], confidence)
+        assert interval.half_width == half_width
+
     def test_summarize_single(self):
         summary = summarize([2.0])
         assert summary == {
