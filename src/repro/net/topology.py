@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.radio import RadioModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,37 @@ def uniform_random_placement(
         placement = Placement(positions, width, height)
         if require_connected_range is None:
             return placement
-        graph = connectivity_graph(placement, require_connected_range)
-        if nx.is_connected(graph):
+        if _is_connected(placement, require_connected_range):
             return placement
     raise RuntimeError(
         "could not draw a connected placement in %d attempts" % max_attempts
     )
+
+
+def _is_connected(placement: Placement, max_range: float) -> bool:
+    """Whether :func:`connectivity_graph` at ``max_range`` is connected.
+
+    A search over positions with the graph's edge rule
+    (``hypot(dx, dy) <= max_range``), without building the graph: each
+    reached node splits the unreached rest into its neighbours and the
+    others.  ``hypot`` ignores signs and float subtraction is
+    antisymmetric, so every pair decides exactly as the graph's does.
+    """
+    if max_range <= 0:
+        raise ValueError("max_range must be positive")
+    hypot = math.hypot
+    unreached = list(placement.positions.values())
+    frontier = [unreached.pop()]
+    while frontier and unreached:
+        x, y = frontier.pop()
+        rest = []
+        for point in unreached:
+            if hypot(point[0] - x, point[1] - y) <= max_range:
+                frontier.append(point)
+            else:
+                rest.append(point)
+        unreached = rest
+    return not unreached
 
 
 def grid_placement(side: int, width: float, height: float) -> Placement:
@@ -122,6 +149,8 @@ def connectivity_graph(
     """
     if max_range <= 0:
         raise ValueError("max_range must be positive")
+    import networkx as nx
+
     graph = nx.Graph()
     nodes = placement.node_ids
     for node in nodes:

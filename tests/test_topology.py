@@ -5,14 +5,37 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.radio import CABLETRON
 from repro.net.topology import (
     Placement,
+    _is_connected,
     connectivity_graph,
     grid_placement,
     uniform_random_placement,
 )
+
+
+def graph_is_connected(placement, max_range):
+    """The reference: networkx on the materialized unit-disk graph."""
+    return nx.is_connected(connectivity_graph(placement, max_range))
+
+
+def reference_placement(count, width, height, rng, max_range, max_attempts=100):
+    """The connected-placement loop as it stood on networkx: redraw until
+    the unit-disk graph is connected.  Returns the placement and the
+    number of draws it took."""
+    for draws in range(1, max_attempts + 1):
+        positions = {
+            node: (rng.uniform(0, width), rng.uniform(0, height))
+            for node in range(count)
+        }
+        placement = Placement(positions, width, height)
+        if graph_is_connected(placement, max_range):
+            return placement, draws
+    raise RuntimeError("no connected draw in %d attempts" % max_attempts)
 
 
 class TestPlacement:
@@ -61,6 +84,113 @@ class TestUniformRandom:
                 50, 5000.0, 5000.0, rng,
                 require_connected_range=10.0, max_attempts=3,
             )
+
+    @pytest.mark.parametrize("bad_range", [0.0, -1.0])
+    def test_non_positive_connectivity_range_rejected(self, bad_range):
+        with pytest.raises(ValueError, match="max_range must be positive"):
+            uniform_random_placement(
+                5, 100.0, 100.0, random.Random(1),
+                require_connected_range=bad_range,
+            )
+
+    @pytest.mark.parametrize(
+        "count, field, max_range",
+        [
+            (50, 500.0, 250.0),  # the smoke small network
+            (500, 3300.0, 250.0),  # the sparse 500-node campaign field
+        ],
+    )
+    def test_same_placements_and_draws_as_the_graph_loop(
+        self, count, field, max_range
+    ):
+        """Seeds 0-49 yield the networkx loop's placement after the same
+        number of draws: both leave the RNG in the same state."""
+        draw_counts = []
+        for seed in range(50):
+            rng = random.Random(seed)
+            placement = uniform_random_placement(
+                count, field, field, rng, require_connected_range=max_range
+            )
+            reference_rng = random.Random(seed)
+            expected, draws = reference_placement(
+                count, field, field, reference_rng, max_range
+            )
+            assert placement == expected, seed
+            assert rng.getstate() == reference_rng.getstate(), seed
+            draw_counts.append(draws)
+        if count == 500:
+            # The sparse field redraws often, so the rejection path runs.
+            assert max(draw_counts) > 1
+
+
+@st.composite
+def placements(draw):
+    side = draw(st.sampled_from([10.0, 300.0, 1300.0, 3300.0]))
+    count = draw(st.integers(1, 80))
+    coordinate = st.floats(0.0, side)
+    points = draw(
+        st.lists(
+            st.tuples(coordinate, coordinate), min_size=count, max_size=count
+        )
+    )
+    return Placement(dict(enumerate(points)), side, side)
+
+
+class TestConnectivitySearch:
+    """The search behind ``require_connected_range`` against networkx."""
+
+    @given(
+        placement=placements(),
+        max_range=st.sampled_from([1.0, 40.0, 250.0, 600.0, 2000.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_networkx(self, placement, max_range):
+        assert _is_connected(placement, max_range) == graph_is_connected(
+            placement, max_range
+        )
+
+    def test_nodes_exactly_range_apart_connect(self):
+        """A 3-4-5 triangle: the edge rule is ``<=`` on ``hypot``."""
+        placement = Placement({0: (0.0, 0.0), 1: (3.0, 4.0)}, 10.0, 10.0)
+        assert _is_connected(placement, 5.0)
+        assert graph_is_connected(placement, 5.0)
+        below = math.nextafter(5.0, 0.0)
+        assert not _is_connected(placement, below)
+        assert not graph_is_connected(placement, below)
+
+    def test_coincident_nodes(self):
+        pair = Placement({0: (2.0, 2.0), 1: (2.0, 2.0)}, 10.0, 10.0)
+        assert _is_connected(pair, 1e-9)
+        assert graph_is_connected(pair, 1e-9)
+        apart = Placement(
+            {0: (2.0, 2.0), 1: (2.0, 2.0), 2: (9.0, 9.0)}, 10.0, 10.0
+        )
+        assert not _is_connected(apart, 1.0)
+        assert not graph_is_connected(apart, 1.0)
+
+    def test_single_node_is_connected(self):
+        placement = Placement({7: (1.0, 1.0)}, 10.0, 10.0)
+        assert _is_connected(placement, 1.0)
+        assert graph_is_connected(placement, 1.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_chain_held_by_one_boundary_edge(self, shift):
+        """Two clusters joined only by (2, 0)-(5, 4), exactly 5 apart;
+        nudging one end of that edge by an ulp splits the network."""
+        bridge_end = (5.0 + shift * math.ulp(5.0), 4.0)
+        positions = {
+            0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0),
+            3: bridge_end, 4: (6.0, 4.0), 5: (7.0, 4.0),
+        }
+        placement = Placement(positions, 10.0, 10.0)
+        connected = shift == 0.0
+        assert _is_connected(placement, 5.0) is connected
+        assert graph_is_connected(placement, 5.0) is connected
+
+    def test_non_positive_range_rejected(self):
+        placement = Placement({0: (0.0, 0.0)}, 10.0, 10.0)
+        with pytest.raises(ValueError, match="max_range must be positive"):
+            _is_connected(placement, 0.0)
 
 
 class TestGrid:
