@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ class DesignInstance:
         takes the cheapest combination.  Exponential; guarded for tests and
         examples on toy graphs.
         """
+        import networkx as nx
+
         per_demand_paths: list[list[tuple[int, ...]]] = []
         for demand in self.demands:
             paths = [
@@ -220,6 +223,8 @@ class SteinerTreeExample:
 
     def graph(self) -> nx.Graph:
         """Build the Fig. 1 connectivity graph with unit weights ``z``."""
+        import networkx as nx
+
         g = nx.Graph()
         per_edge = (self.alpha + 1.0) * self.z
         g.add_node(self.sink, cost=self.z)
@@ -320,6 +325,8 @@ class SteinerForestExample:
 
     def graph(self) -> nx.Graph:
         """Build the Fig. 4 connectivity graph with unit weights ``z``."""
+        import networkx as nx
+
         g = nx.Graph()
         per_edge = (self.alpha + 1.0) * self.z
         g.add_node(self.center, cost=self.z)

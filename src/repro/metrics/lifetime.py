@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import networkx as nx
-
 from repro.core.energy_model import NetworkEnergy
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.core.heuristics import DesignHeuristic, NetworkDesign
     from repro.sim.network import WirelessNetwork
 
@@ -83,6 +83,8 @@ def _partition_time(
     demands: Sequence[tuple[int, int]],
 ) -> float | None:
     """Earliest death time after which some demand becomes unroutable."""
+    import networkx as nx
+
     order = sorted(
         (t for t in deaths.values() if math.isfinite(t))
     )

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -45,7 +43,8 @@ def mean_ci(
     """Mean and t-based confidence half-width of a sample.
 
     A single sample yields a zero-width interval (no variance estimate),
-    matching how single-run results are reported.
+    matching how single-run results are reported.  scipy is imported only
+    past that case, so single-seed sweeps and reports never load it.
     """
     if not samples:
         raise ValueError("need at least one sample")
@@ -57,6 +56,8 @@ def mean_ci(
         return ConfidenceInterval(mean=mean, half_width=0.0, n=1, confidence=confidence)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1))
     return ConfidenceInterval(
         mean=mean, half_width=t_value * sem, n=n, confidence=confidence

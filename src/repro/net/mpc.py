@@ -19,11 +19,12 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.net.steiner import kmb_steiner_tree, steiner_forest
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,8 @@ def _node_cost_as_edge_weight(graph: nx.Graph, node_weight: str) -> nx.Graph:
     """MPC's reduction: drop node weights, weight each edge by the idle cost
     of its endpoints (split equally, the undirected stand-in for charging the
     downstream node)."""
+    import networkx as nx
+
     work = nx.Graph()
     work.add_nodes_from(graph.nodes)
     for u, v in graph.edges:
@@ -148,6 +151,8 @@ def _evaluate(
     endpoints_free: bool,
 ) -> MpcResult:
     """Charge Eq. 5 on a subgraph: idling per node, data per path edge."""
+    import networkx as nx
+
     endpoints = {node for pair in pairs for node in pair}
     idle_cost = 0.0
     for node in subgraph.nodes:

@@ -17,15 +17,18 @@ minimum-weight Steiner trees directly.  This module implements:
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def _metric_closure(
     graph: nx.Graph, terminals: Sequence[Hashable], weight: str
 ) -> tuple[nx.Graph, dict]:
     """Complete graph on terminals weighted by shortest-path distance."""
+    import networkx as nx
+
     closure = nx.Graph()
     paths: dict[tuple[Hashable, Hashable], list] = {}
     for source in terminals:
@@ -51,6 +54,8 @@ def kmb_steiner_tree(
     spanning tree, expand closure edges into shortest paths, take the MST of
     the expansion and prune non-terminal leaves.
     """
+    import networkx as nx
+
     terminals = list(dict.fromkeys(terminals))
     if len(terminals) == 0:
         raise ValueError("need at least one terminal")
@@ -94,6 +99,8 @@ def steiner_forest(
     (the exact problem is NP-hard); structure sharing is what matters for
     the §3 SF1/SF2 comparison.
     """
+    import networkx as nx
+
     if not pairs:
         raise ValueError("need at least one pair")
     components: list[tuple[set, nx.Graph]] = []
@@ -137,6 +144,8 @@ def node_weighted_steiner_tree(
     KMB.  Terminal weights are zero per Definition 1 (sources and sinks must
     stay awake anyway).
     """
+    import networkx as nx
+
     terminal_set = set(terminals)
     work = nx.Graph()
     work.add_nodes_from(graph.nodes(data=True))
