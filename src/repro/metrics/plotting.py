@@ -20,7 +20,12 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from functools import partial
+from html import escape as _html_escape
+
+#: Text escaping for SVG and HTML: ``&``, ``<`` and ``>`` become entities,
+#: quotes stay as they are (escaped text never lands in an attribute).
+escape = partial(_html_escape, quote=False)
 
 #: Marker cycle for distinguishing series.
 MARKERS = "*+ox#@%&"

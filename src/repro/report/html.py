@@ -17,9 +17,8 @@ twice yields identical bytes — pinned by ``tests/test_report.py``.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-from xml.sax.saxutils import escape
 
-from repro.metrics.plotting import AsciiPlot
+from repro.metrics.plotting import AsciiPlot, escape
 from repro.report.campaign import Campaign, CampaignGroup, build_campaign
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

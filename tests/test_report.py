@@ -48,6 +48,11 @@ from repro.report import build_campaign, generate_report, render_html
 #: per-cell pins catch shows up here too.
 TINY_CAMPAIGN_DIGEST_KEYS = 4
 
+#: Every character XML and HTML treat specially, and its escaped form:
+#: ``&``, ``<`` and ``>`` become entities, both quotes stay literal.
+SPECIAL = "a&b<c>\"d'e"
+SPECIAL_ESCAPED = "a&amp;b&lt;c&gt;\"d'e"
+
 
 def _tiny() -> Scenario:
     return Scenario(
@@ -246,6 +251,44 @@ class TestRenderSvg:
         ElementTree.fromstring(svg)  # still well-formed
         assert "<polyline" not in svg  # no degenerate one-point line
         assert "<circle" in svg
+
+    def test_text_is_escaped_exactly_quotes_kept(self):
+        plot = AsciiPlot(
+            title="title " + SPECIAL,
+            xlabel="x " + SPECIAL,
+            ylabel="y " + SPECIAL,
+        )
+        plot.add_series("series " + SPECIAL, [2.0, 4.0], [0.9, 0.8])
+        svg = plot.render_svg()
+        texts = [node.text for node in ElementTree.fromstring(svg).iter("text")]
+        for prefix in ("title ", "x ", "y ", "series "):
+            assert prefix + SPECIAL in texts
+            assert ">%s%s</text>" % (prefix, SPECIAL_ESCAPED) in svg
+
+
+class TestEscaping:
+    def test_report_escapes_the_scenario_name_exactly(
+        self, tmp_path, tiny, tiny_results
+    ):
+        special = dataclasses.replace(tiny, name=SPECIAL)
+        store = ResultStore(tmp_path / "cache")
+        fingerprint = scenario_fingerprint(special)
+        for cell, result in sorted(tiny_results.items()):
+            store.put_run(
+                cell_key(special, cell.protocol, cell.rate_kbps, cell.seed),
+                result,
+                fingerprint=fingerprint,
+            )
+        html = render_html(build_campaign(store))
+        # The document body is well-formed XML: every tag closes and no
+        # raw "&" or "<" leaks out of a text node.
+        body = html.split("<body>")[1].split("</body>")[0]
+        ElementTree.fromstring("<body>%s</body>" % body)
+        assert "<h2>%s <small>" % SPECIAL_ESCAPED in html
+        assert "</code> — %s</h3>" % SPECIAL_ESCAPED in html
+        # The fingerprint is JSON, whose own quote escape survives as is.
+        assert '"name": "%s",' % SPECIAL_ESCAPED.replace('"', '\\"') in html
+        assert SPECIAL not in html
 
 
 class TestReportCli:
