@@ -1,5 +1,11 @@
 """Tests for the network builder, protocol presets and public API surface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -167,3 +173,50 @@ class TestPublicApi:
         for module in (core, metrics, net, power, routing, sim):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+
+    def test_import_path_loads_no_scipy_networkx_or_xml_sax(self, tmp_path):
+        """A fresh interpreter imports the package, sweeps one smoke cell
+        into a store and renders its report without loading scipy,
+        networkx or xml.sax; the first confidence interval over two
+        samples then imports scipy.stats."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro, repro.cli, repro.experiments, repro.report
+            from repro.experiments.parallel import grid_cells, run_grid
+            from repro.experiments.scenarios import small_network
+            from repro.experiments.store import ResultStore
+            from repro.metrics.stats import mean_ci
+            from repro.report import build_campaign, render_html
+
+            scenario = small_network(scale="smoke")
+            store = ResultStore(sys.argv[1])
+            cells = grid_cells(scenario, ("DSR-ODPM",), (2.0,), seeds=(1,))
+            results = run_grid(scenario, cells, jobs=1, store=store)
+            assert len(results) == 1
+            assert "<svg" in render_html(build_campaign(store))
+
+            def heavy():
+                return sorted(
+                    name for name in sys.modules
+                    if name.split(".")[0] in ("scipy", "networkx")
+                    or name == "xml.sax" or name.startswith("xml.sax.")
+                )
+
+            print(heavy())
+            mean_ci([1.0, 2.0])
+            print("scipy.stats" in sys.modules)
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[]", "True"]
