@@ -17,11 +17,10 @@ pending ``(protocol, rate)`` cell from the mean observed events of:
 2. the same protocol at other rates, scaled linearly by rate (offered
    load drives the event count to first order);
 3. any observed cell, scaled by rate the same way;
-4. nothing observed at all — a static prior: the committed
-   ``BENCH_kernel.json`` fig8 cell's events-per-(Kbit/s x simulated
-   second), scaled by rate.  Absolute accuracy is irrelevant here; only
-   the induced *order* matters, and rate-proportionality is the paper
-   grid's dominant axis.
+4. nothing observed at all — a static prior: the smoke fig8 cell's
+   events per (Kbit/s x simulated second), scaled by rate.  Absolute
+   accuracy is irrelevant here; only the induced *order* matters, and
+   rate-proportionality is the paper grid's dominant axis.
 
 Observations come from the sweep's own cache-hit partition
 (:func:`repro.experiments.parallel.run_grid` feeds every hit in), so a
@@ -40,40 +39,13 @@ index.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, Sequence
 
-#: Events per (Kbit/s x simulated second) when nothing better is known.
-#: Matches the committed BENCH_kernel.json fig8 cell to the right order
-#: of magnitude; see :func:`_bench_prior`.
-_DEFAULT_EVENTS_PER_KBPS_S = 250.0
-
-
-def _bench_prior() -> float:
-    """Events per (Kbit/s x s) from the committed kernel benchmark.
-
-    Reads the repo-root ``BENCH_kernel.json`` fig8 cell when it is
-    reachable (source checkouts; installed packages fall back to the
-    built-in constant).  Any read problem degrades silently to the
-    constant — the prior only breaks ties on a cold first campaign.
-    """
-    path = Path(__file__).resolve().parents[3] / "BENCH_kernel.json"
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        cell = report["benchmarks"]["fig8_cell"]
-        events = float(cell["events"])
-        rate = float(cell["rate_kbps"])
-        seconds = float(cell["events"]) / float(cell["events_per_second"])
-        duration = float(cell.get("duration", 0.0)) or (
-            seconds * float(cell.get("simulated_seconds_per_second", 0.0))
-        )
-        if rate > 0.0 and duration > 0.0 and events > 0.0:
-            return events / (rate * duration)
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        pass
-    return _DEFAULT_EVENTS_PER_KBPS_S
+#: Events per (Kbit/s x simulated second) when nothing is observed yet:
+#: the smoke small-network DSR-ODPM cell at 8 Kbit/s fires 14,118 events
+#: in 30 simulated seconds.  Only the order it induces matters: a cold
+#: model costs every unit this constant x rate x duration x seeds.
+_PRIOR_EVENTS_PER_KBPS_S = 58.825
 
 
 class SweepCostModel:
@@ -93,7 +65,6 @@ class SweepCostModel:
         #: [total_events_per_kbps, samples] over everything observed
         self._any: list[float] = [0.0, 0.0]
         self._duration_s = max(duration_s, 1e-9)
-        self._prior: float | None = None
 
     def observe(self, protocol: str, rate_kbps: float, events: int) -> None:
         """Record one completed run's event count."""
@@ -118,7 +89,7 @@ class SweepCostModel:
 
     def expected_events(self, protocol: str, rate_kbps: float) -> float:
         """Predicted event count of one pending cell (resolution order
-        exact -> same-protocol scaled -> any scaled -> benchmark prior)."""
+        exact -> same-protocol scaled -> any scaled -> static prior)."""
         rate = float(rate_kbps)
         exact = self._exact.get((protocol, rate))
         if exact is not None and exact[1] > 0.0:
@@ -128,9 +99,7 @@ class SweepCostModel:
             return proto[0] / proto[1] * rate
         if self._any[1] > 0.0:
             return self._any[0] / self._any[1] * rate
-        if self._prior is None:
-            self._prior = _bench_prior()
-        return self._prior * rate * self._duration_s
+        return _PRIOR_EVENTS_PER_KBPS_S * rate * self._duration_s
 
     def unit_cost(self, unit) -> float:
         """Expected events of one dispatch unit (cell or batch of seeds)."""
