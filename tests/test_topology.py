@@ -187,11 +187,6 @@ class TestConnectivitySearch:
         assert _is_connected(placement, 5.0) is connected
         assert graph_is_connected(placement, 5.0) is connected
 
-    def test_non_positive_range_rejected(self):
-        placement = Placement({0: (0.0, 0.0)}, 10.0, 10.0)
-        with pytest.raises(ValueError, match="max_range must be positive"):
-            _is_connected(placement, 0.0)
-
 
 class TestGrid:
     def test_7x7_grid_spacing(self):
