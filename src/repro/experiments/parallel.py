@@ -78,6 +78,7 @@ The public surface:
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 import traceback as _traceback
@@ -387,10 +388,18 @@ _WORKER_CONTEXT: _UnitContext | None = None
 
 
 def _init_worker(spec: _UnitSpec) -> None:
-    """Pool initializer: mark the process as a worker, build its context."""
+    """Pool initializer: mark the process as a worker, build its context.
+
+    It ends with :func:`gc.freeze`, the CPython pattern for forked
+    workers: everything the worker inherited from its parent, or built
+    here, moves to the collector's permanent generation, so no
+    collection in this worker walks those objects again (nor touches
+    their copy-on-write pages).
+    """
     global _WORKER_CONTEXT
     _mark_worker()
     _WORKER_CONTEXT = _UnitContext(spec)
+    gc.freeze()
 
 
 def _execute_unit(unit: GridBatch) -> list:

@@ -55,7 +55,15 @@ def run_single(
 
     maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
     config = scenario.config(protocol, rate_kbps, seed)
-    return WirelessNetwork(config).run()
+    return _run_closed(WirelessNetwork(config))
+
+
+def _run_closed(network: WirelessNetwork) -> RunResult:
+    """Run ``network``, then close it so reference counting frees it."""
+    try:
+        return network.run()
+    finally:
+        network.close()
 
 
 def shared_setup(
@@ -109,7 +117,7 @@ def _run_seed(
         config = scenario.config(
             protocol, rate_kbps, seed, placement=placement
         )
-        return WirelessNetwork(config, geometry=geometry).run()
+        return _run_closed(WirelessNetwork(config, geometry=geometry))
     except Exception as exc:
         cell = GridCell(protocol, float(rate_kbps), int(seed))
         raise GridCellError.from_exception(cell, exc) from exc

@@ -28,6 +28,7 @@ event sequence, so throughput differences are pure kernel/hot-path speed.
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import json
 import platform
@@ -227,8 +228,8 @@ def _bench_batch_setup(
 
         # Best-of-3: construction cost is deterministic, so the minimum is
         # the signal and the rest is scheduler noise (1-CPU CI runners).
-        per_cell = min(time_per_cell() for _ in range(3))
-        batched = min(time_batched() for _ in range(3))
+        per_cell = min(_collector_paused(time_per_cell) for _ in range(3))
+        batched = min(_collector_paused(time_batched) for _ in range(3))
 
         results["nodes_%d" % node_count] = {
             "node_count": node_count,
@@ -240,6 +241,22 @@ def _bench_batch_setup(
             "amortized_setup_speedup": per_cell / batched if batched else 0.0,
         }
     return results
+
+
+def _collector_paused(timed: Callable[[], float]) -> float:
+    """Run one timed repetition after a full collection, collector paused.
+
+    What :mod:`timeit` does: otherwise a collection triggered by earlier
+    repetitions' garbage lands in whichever arm happens to be running.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return timed()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _batch_scenario(node_count: int, duration: float):

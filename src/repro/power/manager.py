@@ -44,6 +44,10 @@ class PowerManager:
     def mode(self) -> PowerMode:
         return self._mode
 
+    def close(self) -> None:
+        """Drop the mode-change upcall, a method of the node (end of a run)."""
+        self.on_mode_change = None
+
     def _switch(self, mode: PowerMode) -> None:
         if mode is self._mode:
             return

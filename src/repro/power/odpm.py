@@ -81,6 +81,10 @@ class Odpm(PowerManager):
         self._switch(PowerMode.ACTIVE)
         self._keepalive.extend_to(keepalive)
 
+    def close(self) -> None:
+        super().close()
+        self._keepalive.close()
+
     def _expire(self) -> None:
         self._switch(PowerMode.POWER_SAVE)
 

@@ -70,6 +70,10 @@ class SpanCoordinator(PowerManager):
         self._mode_of = mode_of
         self.sim.schedule(self._rng.uniform(0.0, CHECK_INTERVAL), self._check)
 
+    def close(self) -> None:
+        super().close()
+        self._mode_of = None  # a method of the node, which holds us
+
     # ------------------------------------------------------------------
     # Election rule
     # ------------------------------------------------------------------

@@ -189,6 +189,14 @@ class RoutingProtocol:
     def start(self) -> None:
         """Called once when the simulation begins (timers, hellos, dumps)."""
 
+    def close(self) -> None:
+        """Drop the back-pointer to the node (end of a run).
+
+        The node holds this protocol, so the pointer is a reference cycle.
+        Counters, caches and tables stay readable.
+        """
+        self.node = None
+
     def originate_data(self, packet: Packet) -> None:
         """Send application data originated at this node."""
         raise NotImplementedError

@@ -21,6 +21,7 @@ packets back to the origin, which invalidates the route and re-discovers.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -135,9 +136,26 @@ class ReactiveProtocol(RoutingProtocol):
         self._seen_requests: dict[tuple[int, int], float] = {}
         #: best cost replied per (origin, request_id), at the destination.
         self._replied: dict[tuple[int, int], float] = {}
-        self._rng = node.sim.rng("routing-%d" % node.node_id)
         #: flow_id -> advertised rate (installed by traffic agents).
         self.flow_rates: dict[int, float] = {}
+        self._rng: random.Random | None = None
+
+    def _routing_rng(self) -> random.Random:
+        """The ``routing-<id>`` stream, created at the first draw.
+
+        Most nodes of a short run never rebroadcast a request; the stream's
+        draws are the same whenever it is created (see
+        :meth:`repro.sim.engine.Simulator.rng`).
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.sim.rng("routing-%d" % self.node.node_id)
+        return rng
+
+    def close(self) -> None:
+        """Drop the discoveries in flight: their timers call back into us."""
+        super().close()
+        self._discoveries.clear()
 
     # ------------------------------------------------------------------
     # Application data path
@@ -227,7 +245,7 @@ class ReactiveProtocol(RoutingProtocol):
 
     def rebroadcast_jitter(self) -> float:
         """Random delay before rebroadcasting a route request."""
-        return self._rng.uniform(0.0, RREQ_JITTER)
+        return self._routing_rng().uniform(0.0, RREQ_JITTER)
 
     # ------------------------------------------------------------------
     # Frame handling

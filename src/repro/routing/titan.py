@@ -76,7 +76,7 @@ class Titan(ReactiveProtocol):
         probability = self.participation_probability()
         if probability >= 1.0:
             return True
-        if self._rng.random() < probability:
+        if self._routing_rng().random() < probability:
             return True
         self.suppressed_rreqs += 1
         return False
@@ -84,5 +84,5 @@ class Titan(ReactiveProtocol):
     def rebroadcast_jitter(self) -> float:
         """Active nodes answer floods faster, so backbone routes win races."""
         if self.node.power.mode is PowerMode.ACTIVE:
-            return self._rng.uniform(0.0, RREQ_JITTER / 2)
-        return self._rng.uniform(RREQ_JITTER / 2, RREQ_JITTER)
+            return self._routing_rng().uniform(0.0, RREQ_JITTER / 2)
+        return self._routing_rng().uniform(RREQ_JITTER / 2, RREQ_JITTER)

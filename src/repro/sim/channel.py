@@ -984,6 +984,21 @@ class Channel:
 
         self.sim.schedule(duration, _end)
 
+    def close(self) -> None:
+        """Drop the PHY registry, the neighbor tables and the model binding.
+
+        PHYs point back at the channel and a bound model points back at it
+        too, so a finished network's channel sits in reference cycles;
+        :meth:`~repro.sim.network.WirelessNetwork.close` breaks them here.
+        The positions, the counters and the shared prebuilt geometry stay
+        (the geometry is shared across seeds and is never cleared).  A
+        closed channel must not carry frames again.
+        """
+        self._phys.clear()
+        self._tables.clear()
+        self.model = None
+        self._filter = None
+
     def phy(self, node_id: int) -> "Phy":
         """Look up a registered PHY by node id."""
         return self._phys[node_id]

@@ -121,10 +121,13 @@ class Simulator:
     def rng(self, stream: str) -> random.Random:
         """Return the named random stream, creating it on first use.
 
-        Streams are seeded as ``hash((master_seed, stream))`` equivalents via
-        ``random.Random((seed, stream))`` so distinct names are independent
-        and reproducible.  Callers on hot paths should cache the returned
-        generator rather than re-resolving the stream name per draw.
+        A stream is ``random.Random("<master_seed>/<stream>")``: seeded with
+        that string, so distinct names are independent and reproducible.
+        Its draws depend only on the master seed and the name, never on
+        when the stream is created or on what other streams have drawn, so
+        a component may create its stream lazily, at its first draw.
+        Callers on hot paths should cache the returned generator rather
+        than re-resolving the stream name per draw.
         """
         rng = self._rngs.get(stream)
         if rng is None:
@@ -237,6 +240,21 @@ class Simulator:
         finally:
             self._running = False
 
+    def close(self) -> None:
+        """Drop every pending event and its callback.
+
+        Callbacks close over the components that scheduled them, and those
+        components often hold the event's handle, so a finished run's queue
+        keeps reference cycles alive.  Dropping the callbacks breaks them
+        and lets reference counting free the network instead of the cyclic
+        collector.  The clock, the event count and the random streams are
+        kept; a closed simulator must not be run again.
+        """
+        for entry in self._queue:
+            entry[3].callback = None
+        self._queue.clear()
+        self._dead = 0
+
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return len(self._queue) - self._dead
@@ -293,6 +311,15 @@ class Timer:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
+
+    def close(self) -> None:
+        """Cancel the timer and release its callback for good.
+
+        The callback is usually a method of the timer's owner, which holds
+        the timer: a reference cycle that this breaks.
+        """
+        self.cancel()
+        self._callback = None
 
     def _fire(self) -> None:
         self._handle = None

@@ -21,6 +21,7 @@ CW in [31, 1023].
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -122,7 +123,13 @@ class Mac:
         self._timeout: EventHandle | None = None
         self._attempt_pending: EventHandle | None = None
         self._response_queue: deque[tuple[Packet, float]] = deque()
-        self._rng = sim.rng("mac-%d" % phy.node_id)
+        #: The ``mac-<id>`` backoff stream, created at the first draw: most
+        #: MACs of a short or sparse run never back off, and a stream costs
+        #: a seeding and about 2.8 KB.  Its draws are the same whenever it
+        #: is created (see :meth:`Simulator.rng`).  Not a
+        #: ``functools.cached_property``: on CPython 3.11 that materializes
+        #: the instance ``__dict__`` and slows every later attribute access.
+        self._rng: random.Random | None = None
         #: Response timeouts are fixed per card; precomputed once per card
         #: (shared read-only mapping) instead of re-deriving
         #: ``FRAME_SIZES[kind] * 8 / bandwidth`` per transmission or per
@@ -132,6 +139,18 @@ class Mac:
 
         phy.on_receive = self._on_phy_receive
         phy.on_tx_done = self._on_tx_done
+
+    def close(self) -> None:
+        """Drop the node's upcalls and the response timeout (end of a run).
+
+        The upcalls are methods of the node, which holds this MAC, and a
+        timeout cancelled by a CTS stays here with its event, which calls
+        back into this MAC: both keep a finished network in reference
+        cycles.  Counters stay readable; a closed MAC must not send again.
+        """
+        self.on_deliver = None
+        self.on_link_failure = None
+        self._timeout = None
 
     # ------------------------------------------------------------------
     # Sending
@@ -201,7 +220,10 @@ class Mac:
     def _schedule_attempt(self, first: bool = False) -> None:
         """Wait DIFS plus a random backoff, then try to seize the channel."""
         assert self._current is not None
-        backoff_slots = self._rng.randint(0, self._current.cw)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.sim.rng("mac-%d" % self._node_id)
+        backoff_slots = rng.randint(0, self._current.cw)
         delay = DIFS + backoff_slots * SLOT if not first else DIFS + (
             backoff_slots % (CW_MIN + 1)
         ) * SLOT

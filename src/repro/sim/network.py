@@ -399,6 +399,28 @@ class WirelessNetwork:
             warnings=self._warnings_summary(),
         )
 
+    def close(self) -> None:
+        """Tear the finished network down so reference counting frees it.
+
+        The wired stack is full of reference cycles (radio, MAC, node and
+        routing point at each other, armed timers at their owners, the
+        channel at its PHYs, the PSM scheduler at its members), and only a
+        full run of the cyclic collector would free them.  Each layer drops
+        its own half of every cycle here: the pending events and their
+        callbacks, the channel's PHY registry, tables and model binding,
+        the PSM member table, and each node's upcalls and back-pointers.
+        Counters, ledgers and flow statistics stay readable.  Shared
+        objects (the placement, a prebuilt geometry, the protocol presets)
+        are left untouched.  A closed network cannot run again.
+        """
+        self.sim.close()
+        self.channel.close()
+        self.psm.close()
+        for node in self.nodes.values():
+            node.close()
+        if self.churn is not None:
+            self.churn.on_first_failure = None
+
     def _channel_summary(self) -> dict[str, float] | None:
         """Link-layer measurements, or None for the default disc channel.
 

@@ -136,6 +136,22 @@ class Node:
         if routing is not None and hasattr(routing, "on_power_mode_change"):
             routing.on_power_mode_change()
 
+    def close(self) -> None:
+        """Unwire the stack at the end of a run.
+
+        Each layer drops its upcalls and back-pointers, and the node drops
+        its application hook and neighbor oracles, which close over the
+        traffic sink and the other nodes.  The layers and their counters
+        stay readable; a closed node must not run again.
+        """
+        self.phy.close()
+        self.mac.close()
+        self.power.close()
+        if self.routing is not None:
+            self.routing.close()
+        self.on_app_data = None
+        self._neighbor_modes.clear()
+
     def start(self) -> None:
         """Begin protocol operation (proactive dumps, coordinator election)."""
         if self.routing is not None:

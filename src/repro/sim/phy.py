@@ -221,6 +221,17 @@ class Phy:
         """Charge any trailing state occupancy at end of simulation."""
         self._charge_elapsed()
 
+    def close(self) -> None:
+        """Drop the MAC upcalls and the charge dispatch (end of a run).
+
+        Both hold bound methods, of the MAC and of this PHY, so they keep a
+        finished network in reference cycles.  Counters and the ledger stay
+        readable; a closed PHY must not change state again.
+        """
+        self.on_receive = None
+        self.on_tx_done = None
+        self._chargers.clear()
+
     # ------------------------------------------------------------------
     # Sleep control (driven by the PSM scheduler / power manager)
     # ------------------------------------------------------------------

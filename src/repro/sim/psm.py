@@ -115,6 +115,14 @@ class PsmScheduler:
         self._started = True
         self.sim.schedule(0.0, self._beacon, priority=-2)
 
+    def close(self) -> None:
+        """Drop the member table (end of a run).
+
+        Members hold the nodes' MACs and mode getters, whose oracles point
+        back at this scheduler; clearing the table breaks those cycles.
+        """
+        self._members.clear()
+
     # ------------------------------------------------------------------
     # Oracles used by MACs and power managers
     # ------------------------------------------------------------------
@@ -194,6 +202,8 @@ class PsmScheduler:
                 # MAC must not charge its (halted) battery or wake peers.
                 continue
             mac = member.mac
+            if not mac.has_pending():
+                continue  # nothing buffered, nothing to announce
             announced = False
             atim_airtime = member.atim_airtime
             ack_airtime = member.ack_airtime
@@ -239,7 +249,9 @@ class PsmScheduler:
         for member in self._members.values():
             self._maybe_sleep(member)
         for member in self._members.values():
-            member.mac.kick()
+            mac = member.mac
+            if mac.has_pending():  # a kick finds nothing to send otherwise
+                mac.kick()
 
     def _maybe_sleep(self, member: _Member) -> None:
         """Put a PSM node to sleep when nothing keeps it awake."""
@@ -276,6 +288,9 @@ class NoPsm:
         mac.peer_awake = lambda dst: True
 
     def start(self) -> None:
+        return None
+
+    def close(self) -> None:
         return None
 
     def peer_awake(self, dst: int) -> bool:
