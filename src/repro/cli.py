@@ -10,7 +10,6 @@ Usage::
     python -m repro sweep --scenario grid --jobs 4 --cache-dir ~/.cache/repro
     python -m repro run --protocol TITAN-PC --rate 4 --nodes 40
     python -m repro lifetime --protocol TITAN-PC
-    python -m repro perf --out BENCH_kernel.json
     python -m repro fig9 --scale smoke --profile
 
 Figures render as ASCII plots (see :mod:`repro.metrics.plotting`); tables
@@ -67,12 +66,7 @@ static CBR-only.
 
 Every command also accepts ``--profile`` (cProfile the command, print a
 top-25 hot-spot report to stderr; add ``--profile-dump PATH`` to keep the
-raw stats), and ``perf`` runs the kernel-throughput benchmarks that CI
-records as ``BENCH_kernel.json``.  ``perf-scale`` measures the node
-axis — spatial-hash freeze times vs the brute-force reference, per-move
-mobility-repair cost, and end-to-end ``large-grid-*`` cells — recorded
-as ``BENCH_scale.json``.  See :mod:`repro.perf` and
-``docs/performance.md``.
+raw stats).  See :mod:`repro.perf` and ``docs/performance.md``.
 
 ``cli-doc`` regenerates ``docs/cli.md`` from this parser tree; a drift
 test (``tests/test_docs.py``) fails when the committed doc goes stale.
@@ -892,62 +886,6 @@ def _cmd_cli_doc(args: argparse.Namespace) -> None:
     print("CLI reference written to %s" % args.out)
 
 
-def _cmd_perf(args: argparse.Namespace) -> None:
-    from repro.perf import (
-        format_benchmark_report,
-        run_kernel_benchmarks,
-        write_benchmark_report,
-    )
-
-    report = run_kernel_benchmarks(
-        events=args.events,
-        timers=args.timers,
-        restarts=args.restarts,
-        rate_kbps=args.rate,
-        seed=args.seed,
-    )
-    print(format_benchmark_report(report))
-    if args.out:
-        write_benchmark_report(report, args.out)
-        print("report written to %s" % args.out)
-
-
-def _cmd_perf_batch(args: argparse.Namespace) -> None:
-    from repro.perf import (
-        format_batch_report,
-        run_batch_benchmarks,
-        write_benchmark_report,
-    )
-
-    report = run_batch_benchmarks(
-        node_counts=tuple(args.nodes),
-        seeds=args.seeds,
-        duration=args.duration,
-    )
-    print(format_batch_report(report))
-    if args.out:
-        write_benchmark_report(report, args.out)
-        print("report written to %s" % args.out)
-
-
-def _cmd_perf_scale(args: argparse.Namespace) -> None:
-    from repro.perf import (
-        format_scale_report,
-        run_scale_benchmarks,
-        write_benchmark_report,
-    )
-
-    report = run_scale_benchmarks(
-        node_counts=tuple(args.nodes),
-        moves=args.moves,
-        cell_nodes=tuple(args.cell_nodes),
-    )
-    print(format_scale_report(report))
-    if args.out:
-        write_benchmark_report(report, args.out)
-        print("report written to %s" % args.out)
-
-
 def _mobility_vmax(text: str) -> float:
     """argparse type for ``--mobility``: a positive speed in m/s."""
     value = float(text)
@@ -1209,55 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: DST.manifest.json, next to "
                                   "the store so the store directory "
                                   "stays byte-comparable)")
-
-    # No --scale: the benchmark workloads are fixed so reports stay
-    # comparable across PRs (the fig8 cell is always the smoke preset).
-    perf_parser = add("perf", _cmd_perf,
-                      "kernel throughput benchmarks (BENCH_kernel.json)",
-                      scale=False)
-    perf_parser.add_argument("--out", default=None, metavar="PATH",
-                             help="write the JSON report to PATH")
-    perf_parser.add_argument("--events", type=int, default=200_000,
-                             help="events for the bare-scheduler benchmark")
-    perf_parser.add_argument("--timers", type=int, default=200,
-                             help="timers for the restart-churn benchmark")
-    perf_parser.add_argument("--restarts", type=int, default=100,
-                             help="restart rounds for the churn benchmark")
-    perf_parser.add_argument("--rate", type=float, default=8.0,
-                             help="fig8-cell rate in Kbit/s")
-    perf_parser.add_argument("--seed", type=int, default=1)
-
-    batch_perf = add("perf-batch", _cmd_perf_batch,
-                     "batched-execution setup benchmark (BENCH_batch.json)",
-                     scale=False)
-    batch_perf.add_argument("--out", default=None, metavar="PATH",
-                            help="write the JSON report to PATH")
-    batch_perf.add_argument("--nodes", nargs="+", type=int,
-                            default=[100, 300, 400],
-                            help="node counts to measure")
-    batch_perf.add_argument("--seeds", type=int, default=8,
-                            help="seeds per batch (default 8, the "
-                                 "committed baseline's workload)")
-    batch_perf.add_argument("--duration", type=float, default=30.0,
-                            help="scenario duration in simulated seconds "
-                                 "(setup cost does not depend on it)")
-
-    scale_perf = add("perf-scale", _cmd_perf_scale,
-                     "node-axis scaling benchmark (BENCH_scale.json)",
-                     scale=False)
-    scale_perf.add_argument("--out", default=None, metavar="PATH",
-                            help="write the JSON report to PATH")
-    scale_perf.add_argument("--nodes", nargs="+", type=int,
-                            default=[1000, 2000, 5000],
-                            help="node counts for the freeze and "
-                                 "mobility-repair sections")
-    scale_perf.add_argument("--moves", type=int, default=200,
-                            help="update_position calls per mobility-repair "
-                                 "measurement")
-    scale_perf.add_argument("--cell-nodes", nargs="+", type=int,
-                            default=[1024, 5041],
-                            help="large_grid smoke cells to run end to end "
-                                 "(must be perfect squares)")
 
     doc_parser = add("cli-doc", _cmd_cli_doc,
                      "regenerate docs/cli.md from this parser tree",

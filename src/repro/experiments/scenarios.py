@@ -481,8 +481,8 @@ def large_grid(node_count: int = 1024, scale: str = "bench") -> Scenario:
     """Scale-axis preset family: a 1k–10k-node Mica2 sensor grid.
 
     No paper figure — the paper stops at 400 nodes.  This family is the
-    workload behind the spatial-hash geometry work (``repro perf-scale``,
-    ``docs/performance.md``): ``node_count`` nodes on a square grid at
+    workload behind the cell-list geometry work (``docs/performance.md``,
+    "Scaling the node axis"): ``node_count`` nodes on a square grid at
     :data:`LARGE_GRID_SPACING`, the 68 m-range Mica2 card (degree 4;
     the paper's 250 m cards would make every node hear ~80 others and
     runtime would measure fan-out, not the node axis), and eight

@@ -1,52 +1,21 @@
-"""Performance observability: profiling helpers and kernel benchmarks.
+"""Profiling helpers behind every CLI command's ``--profile`` flag.
 
-Two audiences:
-
-* **Humans hunting regressions** — every CLI command accepts ``--profile``,
-  which wraps the command in :mod:`cProfile` and prints a top-N hot-spot
-  report (optionally dumping the raw stats for ``snakeviz``/``pstats``).
-  :func:`profile_call` is the library form of the same thing.
-* **The perf trajectory** — :func:`run_kernel_benchmarks` measures
-  events-per-second throughput of the simulation kernel at three altitudes
-  (bare scheduler, scheduler under timer-restart churn, and a full §5.2
-  fig8-style cell) and :func:`write_benchmark_report` serializes the result
-  to ``BENCH_kernel.json``.  CI runs ``python -m repro perf`` on every push
-  and uploads that file as an artifact, so each PR records the throughput
-  it inherited and the throughput it ships.
-  :func:`run_batch_benchmarks` does the same for the batched execution
-  layer (per-seed amortized setup cost, ``BENCH_batch.json`` via
-  ``python -m repro perf-batch``).  Sweep dispatch is timed by the repo
-  benchmark (``python3 perfbench/run.py --workload campaign``).
-
-Wall-clock numbers are machine-dependent; the JSON therefore records the
-interpreter and platform next to every figure.  Events-per-second is the
-metric of record because it is what the ROADMAP's "as fast as the hardware
-allows" north star constrains: a fixed scenario always schedules the same
-event sequence, so throughput differences are pure kernel/hot-path speed.
+``--profile`` wraps the command in :mod:`cProfile` and prints a top-N
+hot-spot report (``--profile-dump PATH`` also keeps the raw stats for
+``pstats``/``snakeviz``); :func:`profile_call` is the library form of the
+same thing.  Throughput is measured by the repo benchmark
+(``python3 perfbench/run.py``, see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import cProfile
-import gc
 import io
-import json
-import platform
 import pstats
 import sys
-import time
 from typing import Any, Callable, TextIO
 
-#: Bump when the report layout changes.
-BENCH_FORMAT_VERSION = 1
 
-#: Default location of the committed baseline, relative to the repo root.
-DEFAULT_REPORT_PATH = "BENCH_kernel.json"
-
-
-# ----------------------------------------------------------------------
-# Profiling
-# ----------------------------------------------------------------------
 def profile_call(
     func: Callable[[], Any],
     top: int = 25,
@@ -86,568 +55,3 @@ def print_profile_report(
             "snakeviz)" % dump_path,
             file=stream,
         )
-
-
-# ----------------------------------------------------------------------
-# Kernel benchmarks
-# ----------------------------------------------------------------------
-def _bench_schedule_fire(events: int) -> dict:
-    """Raw schedule-then-fire throughput of the bare event kernel."""
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    start = time.perf_counter()
-    schedule = sim.schedule
-    noop = lambda: None  # noqa: E731 - deliberate minimal callback
-    for i in range(events):
-        schedule(i * 1e-6, noop)
-    sim.run()
-    seconds = time.perf_counter() - start
-    return {
-        "events": sim.events_processed,
-        "seconds": seconds,
-        "events_per_second": sim.events_processed / seconds if seconds else 0.0,
-    }
-
-
-def _bench_timer_churn(timers: int, restarts: int) -> dict:
-    """Scheduler throughput under Timer.restart churn.
-
-    Exercises the cancellation skip-count and heap compaction: each restart
-    leaves a dead entry behind, which the naive kernel kept until the end
-    of the run.  Throughput counts restarts + fires per wall second.
-    """
-    from repro.sim.engine import Simulator, Timer
-
-    sim = Simulator()
-    fired = [0]
-
-    def tick() -> None:
-        fired[0] += 1
-
-    start = time.perf_counter()
-    pool = [Timer(sim, tick) for _ in range(timers)]
-    for round_no in range(restarts):
-        for timer in pool:
-            timer.restart(1.0 + round_no * 1e-3)
-        sim.run(until=0.5 + round_no * 1e-3)
-    sim.run()
-    seconds = time.perf_counter() - start
-    operations = timers * restarts + fired[0]
-    return {
-        "timers": timers,
-        "restarts": restarts,
-        "operations": operations,
-        "seconds": seconds,
-        "events_per_second": operations / seconds if seconds else 0.0,
-        "final_queue_size": sim.queue_size(),
-    }
-
-
-def _bench_fig8_cell(rate_kbps: float, seed: int) -> dict:
-    """Events-per-second of one full fig8 (small-network) smoke cell.
-
-    This is the end-to-end number: kernel dispatch plus channel fan-out,
-    PHY state machine, MAC transactions, routing and energy accounting —
-    the same stack every §5.2 grid cell pays.
-    """
-    from repro.experiments.runner import run_single
-    from repro.experiments.scenarios import small_network
-
-    scenario = small_network(scale="smoke")
-    start = time.perf_counter()
-    result = run_single(scenario, "DSR-ODPM", rate_kbps, seed)
-    seconds = time.perf_counter() - start
-    return {
-        "scenario": "small-network/smoke",
-        "protocol": "DSR-ODPM",
-        "rate_kbps": rate_kbps,
-        "seed": seed,
-        "events": result.events_processed,
-        "seconds": seconds,
-        "events_per_second": (
-            result.events_processed / seconds if seconds else 0.0
-        ),
-        "simulated_seconds_per_second": (
-            scenario.duration / seconds if seconds else 0.0
-        ),
-    }
-
-
-def _bench_batch_setup(
-    node_counts: tuple[int, ...],
-    seeds: int,
-    duration: float,
-) -> dict:
-    """Per-seed amortized setup cost: batched vs per-cell, by node count.
-
-    For each node count, builds a fixed-placement dense scenario
-    (paper-density field, see :func:`_batch_scenario`) and times the
-    **setup** of ``seeds`` simulations twice: per-cell (every seed derives
-    its placement and freezes channel geometry from scratch, as separate
-    :func:`repro.experiments.runner.run_single` calls do) and batched
-    (placement + geometry derived once, as
-    :func:`repro.experiments.runner.shared_setup` does for a dispatch
-    unit, then one assembly per seed).  Setup means everything before
-    ``sim.run()``; it is the dominant non-simulation cost of the dense
-    scenarios, which is exactly what batching amortizes.
-    """
-    import time as _time
-
-    from repro.sim.channel import ChannelGeometry
-    from repro.sim.network import WirelessNetwork
-
-    protocol, rate_kbps = "DSR-ODPM", 4.0
-    results = {}
-    for node_count in node_counts:
-        scenario = _batch_scenario(node_count, duration)
-
-        # Warm imports/allocator so the first-timed path is not penalized.
-        WirelessNetwork(scenario.config(protocol, rate_kbps, 1))
-
-        def time_per_cell() -> float:
-            start = _time.perf_counter()
-            for seed in range(1, seeds + 1):
-                WirelessNetwork(scenario.config(protocol, rate_kbps, seed))
-            return _time.perf_counter() - start
-
-        def time_batched() -> float:
-            start = _time.perf_counter()
-            placement = scenario.placement(1)
-            geometry = ChannelGeometry.build(
-                placement.positions, scenario.card.max_range
-            )
-            for seed in range(1, seeds + 1):
-                WirelessNetwork(
-                    scenario.config(
-                        protocol, rate_kbps, seed, placement=placement
-                    ),
-                    geometry=geometry,
-                )
-            return _time.perf_counter() - start
-
-        # Best-of-3: construction cost is deterministic, so the minimum is
-        # the signal and the rest is scheduler noise (1-CPU CI runners).
-        per_cell = min(_collector_paused(time_per_cell) for _ in range(3))
-        batched = min(_collector_paused(time_batched) for _ in range(3))
-
-        results["nodes_%d" % node_count] = {
-            "node_count": node_count,
-            "seeds": seeds,
-            "per_cell_setup_seconds": per_cell,
-            "batched_setup_seconds": batched,
-            "per_seed_per_cell": per_cell / seeds,
-            "per_seed_batched": batched / seeds,
-            "amortized_setup_speedup": per_cell / batched if batched else 0.0,
-        }
-    return results
-
-
-def _collector_paused(timed: Callable[[], float]) -> float:
-    """Run one timed repetition after a full collection, collector paused.
-
-    What :mod:`timeit` does: otherwise a collection triggered by earlier
-    repetitions' garbage lands in whichever arm happens to be running.
-    """
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return timed()
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _batch_scenario(node_count: int, duration: float):
-    """A fixed-placement dense scenario at roughly the paper's density."""
-    from repro.experiments.scenarios import Scenario
-
-    # ~1300 m field at 300 nodes (the Table 2 density), scaled so every
-    # node count keeps the same nodes-per-km^2.
-    field = 1300.0 * (node_count / 300.0) ** 0.5
-    return Scenario(
-        name="bench-batch-%d" % node_count,
-        node_count=node_count,
-        field_size=field,
-        flow_count=10,
-        rates_kbps=(4.0,),
-        duration=duration,
-        runs=1,
-        protocols=("DSR-ODPM",),
-    ).with_fixed_placement(1)
-
-
-def run_batch_benchmarks(
-    node_counts: tuple[int, ...] = (100, 300, 400),
-    seeds: int = 8,
-    duration: float = 30.0,
-) -> dict:
-    """Batched-execution benchmark report (``BENCH_batch.json``).
-
-    Measures the per-seed amortized setup cost of batched vs per-cell
-    dispatch at several node counts (setup only — the simulation phase is
-    bit-identical by contract, so it cancels out of the comparison).  CI
-    runs ``python -m repro perf-batch`` per push and uploads the report
-    next to the kernel one; the committed ``BENCH_batch.json`` is the
-    dev-machine baseline quoted in ``docs/performance.md``.  The defaults
-    (8 seeds per batch, best-of-3) are the baseline's exact workload —
-    keep them when regenerating, or reports stop being comparable
-    (amortized speedup grows with batch size).
-    """
-    return {
-        "version": BENCH_FORMAT_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "benchmarks": {
-            "batch_setup": _bench_batch_setup(node_counts, seeds, duration),
-        },
-    }
-
-
-def format_batch_report(report: dict) -> str:
-    """Aligned per-node-count lines of a batch benchmark report."""
-    lines = [
-        "Batched execution setup cost (%s %s, %s)"
-        % (report["implementation"], report["python"], report["platform"])
-    ]
-    entries = report["benchmarks"]["batch_setup"]
-    for _name, entry in sorted(
-        entries.items(), key=lambda item: item[1]["node_count"]
-    ):
-        lines.append(
-            "  %4d nodes x %d seeds: per-cell %6.1f ms/seed, "
-            "batched %6.1f ms/seed  (%.1fx)"
-            % (
-                entry["node_count"],
-                entry["seeds"],
-                entry["per_seed_per_cell"] * 1e3,
-                entry["per_seed_batched"] * 1e3,
-                entry["amortized_setup_speedup"],
-            )
-        )
-    return "\n".join(lines)
-
-
-def _scale_positions(node_count: int) -> dict[int, tuple[float, float]]:
-    """Uniform-random positions at the paper's Table 2 density.
-
-    Same density rule as :func:`_batch_scenario` (~1300 m field at 300
-    nodes), without the connectivity re-draw — the geometry benchmarks
-    measure the pair scan, and requiring connectivity at 5k nodes would
-    spend minutes drawing placements instead.
-    """
-    import random as _random
-
-    from repro.net.topology import uniform_random_placement
-
-    field = 1300.0 * (node_count / 300.0) ** 0.5
-    rng = _random.Random("perf-scale/%d" % node_count)
-    return uniform_random_placement(node_count, field, field, rng).positions
-
-
-def _bench_scale_freeze(node_counts: tuple[int, ...]) -> dict:
-    """Freeze-time candidate methods head to head, plus identity check.
-
-    Times :meth:`ChannelGeometry.from_positions` per method — ``grid``
-    (the cell-list spatial hash), ``dense`` (numpy all-pairs matrix) and
-    ``bruteforce`` (the pure-python O(N^2) reference) — on the same
-    positions, best-of-N (best-of-1 for brute force above 2k nodes: the
-    reference path is quadratic and exists to be compared against, not
-    lingered in).  Every entry records ``verified_identical``: the grid
-    and brute-force geometries are compared table-for-table before the
-    timings are trusted.
-    """
-    import time as _time
-
-    from repro.sim.channel import ChannelGeometry
-
-    max_range = 250.0  # the paper's Cabletron range, as in the batch bench
-    results = {}
-    for node_count in node_counts:
-        positions = _scale_positions(node_count)
-
-        def time_method(method: str, reps: int):
-            best, geometry = None, None
-            for _ in range(reps):
-                start = _time.perf_counter()
-                geometry = ChannelGeometry.from_positions(
-                    positions, max_range, method=method
-                )
-                elapsed = _time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            return best, geometry
-
-        grid_seconds, grid_geometry = time_method("grid", 3)
-        dense_seconds, _ = time_method("dense", 3)
-        brute_reps = 3 if node_count <= 2000 else 1
-        brute_seconds, brute_geometry = time_method("bruteforce", brute_reps)
-        identical = (
-            grid_geometry.dists == brute_geometry.dists
-            and grid_geometry.dist_ranks == brute_geometry.dist_ranks
-            and grid_geometry.ranks == brute_geometry.ranks
-            and grid_geometry.ids == brute_geometry.ids
-        )
-        results["nodes_%d" % node_count] = {
-            "node_count": node_count,
-            "grid_seconds": grid_seconds,
-            "dense_seconds": dense_seconds,
-            "bruteforce_seconds": brute_seconds,
-            "speedup_vs_bruteforce": (
-                brute_seconds / grid_seconds if grid_seconds else 0.0
-            ),
-            "speedup_vs_dense": (
-                dense_seconds / grid_seconds if grid_seconds else 0.0
-            ),
-            "verified_identical": identical,
-        }
-    return results
-
-
-def _bench_scale_mobility(node_counts: tuple[int, ...], moves: int) -> dict:
-    """Mobility-repair cost per move: spatial index on vs off.
-
-    Builds two frozen channels over identical positions (``spatial_index``
-    forced on / off), applies the same random move script to both, and
-    times the ``update_position`` loop.  The resulting tables are compared
-    afterwards — the benchmark doubles as a scale-sized equivalence check
-    (``verified_identical``).
-    """
-    import random as _random
-    import time as _time
-
-    from repro.core.energy_model import NodeEnergy
-    from repro.core.radio import CABLETRON
-    from repro.sim.channel import Channel
-    from repro.sim.engine import Simulator
-    from repro.sim.phy import Phy
-
-    results = {}
-    for node_count in node_counts:
-        positions = _scale_positions(node_count)
-        field = 1300.0 * (node_count / 300.0) ** 0.5
-
-        def build(spatial: bool) -> Channel:
-            sim = Simulator(seed=1)
-            channel = Channel(
-                sim, positions, CABLETRON.max_range, spatial_index=spatial
-            )
-            for node_id in positions:
-                Phy(sim, channel, node_id, CABLETRON, NodeEnergy(card=CABLETRON))
-            channel.freeze()
-            return channel
-
-        rng = _random.Random("perf-scale-moves/%d" % node_count)
-        script = [
-            (
-                rng.randrange(node_count),
-                (rng.uniform(0, field), rng.uniform(0, field)),
-            )
-            for _ in range(moves)
-        ]
-
-        def time_moves(channel: Channel) -> float:
-            start = _time.perf_counter()
-            update = channel.update_position
-            for mover, target in script:
-                update(mover, target)
-            return _time.perf_counter() - start
-
-        indexed_channel = build(True)
-        full_channel = build(False)
-        indexed_seconds = time_moves(indexed_channel)
-        full_seconds = time_moves(full_channel)
-        identical = all(
-            indexed_channel._tables[node_id].dists
-            == full_channel._tables[node_id].dists
-            and indexed_channel._tables[node_id].ids
-            == full_channel._tables[node_id].ids
-            for node_id in positions
-        ) and indexed_channel.link_changes == full_channel.link_changes
-        results["nodes_%d" % node_count] = {
-            "node_count": node_count,
-            "moves": moves,
-            "indexed_seconds": indexed_seconds,
-            "full_seconds": full_seconds,
-            "per_move_indexed_ms": indexed_seconds / moves * 1e3,
-            "per_move_full_ms": full_seconds / moves * 1e3,
-            "repair_speedup": (
-                full_seconds / indexed_seconds if indexed_seconds else 0.0
-            ),
-            "verified_identical": identical,
-        }
-    return results
-
-
-def _bench_large_grid_cell(node_count: int) -> dict:
-    """One full ``large_grid`` smoke cell, end to end, at ``node_count``.
-
-    Times assembly (placement -> wired network, including the frozen
-    geometry pass) and the simulation separately, and reports the columnar
-    node-state summary the run leaves behind — the number the acceptance
-    bar "a 5k-node cell completes in minutes, not hours" tracks.
-    """
-    import time as _time
-
-    from repro.experiments.scenarios import large_grid
-    from repro.sim.network import WirelessNetwork
-
-    scenario = large_grid(node_count, scale="smoke")
-    config = scenario.config("DSR-Active", scenario.rates_kbps[0], 1)
-    start = _time.perf_counter()
-    network = WirelessNetwork(config)
-    assembled = _time.perf_counter()
-    result = network.run()
-    finished = _time.perf_counter()
-    state_summary = network.node_state_snapshot().summary()
-    run_seconds = finished - assembled
-    return {
-        "scenario": scenario.name,
-        "node_count": node_count,
-        "protocol": "DSR-Active",
-        "duration": scenario.duration,
-        "assembly_seconds": assembled - start,
-        "run_seconds": run_seconds,
-        "total_seconds": finished - start,
-        "events": result.events_processed,
-        "events_per_second": (
-            result.events_processed / run_seconds if run_seconds else 0.0
-        ),
-        "delivery_ratio": result.delivery_ratio,
-        "mean_node_energy_j": (
-            state_summary["energy_total"] / node_count if node_count else 0.0
-        ),
-    }
-
-
-def run_scale_benchmarks(
-    node_counts: tuple[int, ...] = (1000, 2000, 5000),
-    moves: int = 200,
-    cell_nodes: tuple[int, ...] = (1024, 5041),
-) -> dict:
-    """Node-axis scaling report (``BENCH_scale.json``).
-
-    Three sections: freeze-time candidate-method comparison (spatial hash
-    vs dense numpy vs the brute-force reference, with identity
-    verification), per-move mobility-repair cost (live spatial index on
-    vs off), and full end-to-end ``large_grid`` smoke cells.  CI runs
-    ``python -m repro perf-scale`` per push and uploads the report as
-    ``BENCH_scale_ci.json``; the committed ``BENCH_scale.json`` is the
-    dev-machine baseline quoted in ``docs/performance.md``.
-    """
-    return {
-        "version": BENCH_FORMAT_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "benchmarks": {
-            "freeze_scaling": _bench_scale_freeze(node_counts),
-            "mobility_repair": _bench_scale_mobility(node_counts, moves),
-            "large_grid_cell": {
-                "nodes_%d" % count: _bench_large_grid_cell(count)
-                for count in cell_nodes
-            },
-        },
-    }
-
-
-def format_scale_report(report: dict) -> str:
-    """Aligned per-node-count lines of a scale benchmark report."""
-    lines = [
-        "Node-axis scaling (%s %s, %s)"
-        % (report["implementation"], report["python"], report["platform"])
-    ]
-    benchmarks = report["benchmarks"]
-    lines.append("  freeze (grid vs dense vs bruteforce):")
-    for _name, entry in sorted(
-        benchmarks["freeze_scaling"].items(),
-        key=lambda item: item[1]["node_count"],
-    ):
-        lines.append(
-            "    %5d nodes: grid %7.1f ms, dense %7.1f ms, brute %8.1f ms"
-            "  (%.1fx vs brute, %.1fx vs dense%s)"
-            % (
-                entry["node_count"],
-                entry["grid_seconds"] * 1e3,
-                entry["dense_seconds"] * 1e3,
-                entry["bruteforce_seconds"] * 1e3,
-                entry["speedup_vs_bruteforce"],
-                entry["speedup_vs_dense"],
-                "" if entry["verified_identical"] else "; MISMATCH",
-            )
-        )
-    lines.append("  mobility repair (per move, indexed vs full patch):")
-    for _name, entry in sorted(
-        benchmarks["mobility_repair"].items(),
-        key=lambda item: item[1]["node_count"],
-    ):
-        lines.append(
-            "    %5d nodes: indexed %7.3f ms, full %7.3f ms  (%.1fx%s)"
-            % (
-                entry["node_count"],
-                entry["per_move_indexed_ms"],
-                entry["per_move_full_ms"],
-                entry["repair_speedup"],
-                "" if entry["verified_identical"] else "; MISMATCH",
-            )
-        )
-    lines.append("  large_grid smoke cells (end to end):")
-    for _name, entry in sorted(
-        benchmarks["large_grid_cell"].items(),
-        key=lambda item: item[1]["node_count"],
-    ):
-        lines.append(
-            "    %5d nodes: assembly %6.2f s, run %6.2f s, "
-            "%9.0f events/s, delivery %.3f"
-            % (
-                entry["node_count"],
-                entry["assembly_seconds"],
-                entry["run_seconds"],
-                entry["events_per_second"],
-                entry["delivery_ratio"],
-            )
-        )
-    return "\n".join(lines)
-
-
-def run_kernel_benchmarks(
-    events: int = 200_000,
-    timers: int = 200,
-    restarts: int = 100,
-    rate_kbps: float = 8.0,
-    seed: int = 1,
-) -> dict:
-    """Run the three kernel benchmarks and return the full report dict."""
-    return {
-        "version": BENCH_FORMAT_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "benchmarks": {
-            "schedule_fire": _bench_schedule_fire(events),
-            "timer_churn": _bench_timer_churn(timers, restarts),
-            "fig8_cell": _bench_fig8_cell(rate_kbps, seed),
-        },
-    }
-
-
-def write_benchmark_report(report: dict, path: str) -> None:
-    """Serialize a :func:`run_kernel_benchmarks` report to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_benchmark_report(report: dict) -> str:
-    """One aligned line per benchmark, for terminal output."""
-    lines = [
-        "Kernel throughput (%s %s, %s)"
-        % (report["implementation"], report["python"], report["platform"])
-    ]
-    for name, entry in sorted(report["benchmarks"].items()):
-        lines.append(
-            "  %-16s %12.0f events/s  (%.3f s)"
-            % (name, entry["events_per_second"], entry["seconds"])
-        )
-    return "\n".join(lines)

@@ -12,15 +12,13 @@ Positions are static by default, so all geometry is precomputed:
 builds one distance-sorted neighbor table per node, and
 :meth:`Channel.in_reach` resolves a transmission's receiver set with a
 single bisect over that table instead of re-checking distances per frame.
-The pair scan inside ``freeze`` picks its algorithm by size
-(:meth:`ChannelGeometry.from_positions`): small networks keep the O(N^2)
-scan (vectorized through numpy when importable, pure python otherwise),
-and above :data:`_SPATIAL_HASH_MIN_NODES` a grid-bucket (cell-list)
-spatial hash finds candidate pairs in O(N x degree) — positions are
-binned into ``max_range``-sized cells and only the 3x3 cell neighborhood
-is measured.  Every path re-measures its candidates with ``math.hypot``
-and sorts by ``(distance, rank)``, so all of them produce byte-identical
-tables; a prebuilt :class:`ChannelGeometry` can also be handed to the
+The pair scan inside ``freeze`` (:meth:`ChannelGeometry.from_positions`)
+is a cell list: positions are binned into ``max_range``-sized cells and
+each node measures only the members of the cells its range window
+overlaps, O(N x degree) instead of O(N^2).  Every candidate is
+re-measured with ``math.hypot`` and entries sort by ``(distance, rank)``,
+so the tables are byte-identical to the brute-force reference scan; a
+prebuilt :class:`ChannelGeometry` can also be handed to the
 :class:`Channel` constructor so the seeds of a sweep share a single
 geometry pass (see :func:`repro.experiments.runner.shared_setup`).
 Receiver order is registration order — the same order the naive scan
@@ -30,16 +28,15 @@ contract (serial == parallel == cached, bit for bit) depends on it.
 
 Dynamic topologies (:mod:`repro.sim.mobility`) move nodes mid-run through
 :meth:`Channel.update_position`, which repairs the frozen tables
-*incrementally*: the moved node's own table is rebuilt and every affected
-node's table is patched in place for the single entry that changed.
-Below the spatial-hash threshold that means touching all N tables
-(O(moved nodes x N)); at scale the channel keeps a live
-:class:`_SpatialIndex` and only consults the tables of nodes bucketed
-within range of the old or new position (O(moved nodes x degree)).
-Either way, never the O(N^2) full re-freeze.  Static runs take the
-freeze-once path untouched and stay bit-identical to pre-mobility builds.  Neighbor-set
-changes are counted in :attr:`Channel.link_changes`, the link-churn metric
-surfaced by :class:`~repro.metrics.collectors.RunResult` dynamics.
+*incrementally* through the same cells: the moved node's own table is
+rebuilt, and only the tables of nodes bucketed within range of its old or
+new position are patched in place for the single entry that changed —
+O(moved nodes x degree), never the O(N^2) full re-freeze.  The bucket
+index (:class:`_SpatialIndex`) is built at the first move after a freeze,
+so static runs never build it and stay bit-identical to pre-mobility
+builds.  Neighbor-set changes are counted in :attr:`Channel.link_changes`,
+the link-churn metric surfaced by
+:class:`~repro.metrics.collectors.RunResult` dynamics.
 
 Reception and interference are resolved by the receiving
 :class:`~repro.sim.phy.Phy` objects: overlapping receptions corrupt each
@@ -57,7 +54,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.sim.state import NodeStateArrays
 
 # The channel-model registry lives in its own module (it needs no channel
 # internals) but is re-exported here: ``repro.sim.channel`` is the public
@@ -79,32 +75,12 @@ from repro.sim.channel_models import (  # noqa: F401  (re-exports)
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.phy import Phy
 
-try:  # numpy accelerates the freeze-time pair scan; never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the baked toolchain ships numpy
-    _np = None
-
-#: Below this node count the python scan beats the numpy round trip.
-_VECTORIZE_MIN_NODES = 32
-
-#: At and above this node count the grid-bucket spatial hash replaces the
-#: dense O(N^2) candidate pass, and :meth:`Channel.freeze` keeps a live
-#: :class:`_SpatialIndex` so mobility repair touches O(degree) tables per
-#: move instead of all N.  The crossover is where the hash's constant
-#: costs (bucket binning, per-cell-group dispatch) drop below the dense
-#: path's N^2 arithmetic — measured with ``repro perf-scale`` (see
-#: ``docs/performance.md``); correctness never depends on it, because all
-#: candidate methods feed the same exact re-measurement.
-_SPATIAL_HASH_MIN_NODES = 768
-
-#: Relative slack on the squared-distance candidate prefilter.  The numpy
-#: pass computes ``dx*dx + dy*dy`` (three rounded float ops) while the
-#: simulator's metric is ``math.hypot`` (correctly rounded); the two can
-#: disagree by a few ulp near the range boundary, so candidates are taken
-#: with this margin and every survivor is re-measured with ``math.hypot``
-#: before it may enter a table.  1e-9 relative is ~1e7 ulp — no true
-#: neighbor can be lost, and the handful of extra candidates are discarded
-#: by the exact check.
+#: Relative slack on the cell windows.  A window spans the floor-divided
+#: cells of ``[coord - margin, coord + margin]`` with ``margin =
+#: max_range * (1 + _CANDIDATE_SLACK)``; the subtraction and division
+#: round, so without slack a neighbor at exactly ``max_range`` could fall
+#: one cell outside.  1e-9 relative is ~1e7 ulp — no true neighbor can be
+#: lost, and the few extra candidates fail the exact ``math.hypot`` check.
 _CANDIDATE_SLACK = 1e-9
 
 
@@ -117,7 +93,7 @@ class ChannelGeometry:
     the same entries in rank (registration) order — keyed to a specific
     node ordering and position set.  All distances are ``math.hypot``
     values, so tables instantiated from a geometry are **bit-identical**
-    to tables computed from scratch; the numpy path below only changes how
+    to tables computed from scratch; the cell list below only changes how
     candidate pairs are *found*, never how they are measured.
 
     Instances are immutable (tuples throughout) and safe to share: every
@@ -165,8 +141,7 @@ class ChannelGeometry:
         cls,
         positions: Mapping[int, tuple[float, float]],
         max_range: float,
-        method: str = "auto",
-        state: "NodeStateArrays | None" = None,
+        method: str = "grid",
     ) -> "ChannelGeometry":
         """Compute the geometry of ``positions`` at ``max_range``.
 
@@ -175,31 +150,37 @@ class ChannelGeometry:
         a geometry built from a placement drops straight into
         :meth:`Channel.freeze`.
 
-        ``method`` selects how candidate pairs are *found* (see
-        :func:`_neighbor_candidates`): ``auto`` picks by size, ``grid``
-        forces the spatial hash, ``dense`` the numpy all-pairs matrix and
-        ``bruteforce`` the pure O(N^2) reference scan.  Every method feeds
-        the same exact ``math.hypot`` re-measurement and ``(distance,
-        rank)`` sort below, so the choice can never change the result —
-        only how long it takes.  ``state`` optionally passes the channel's
-        live :class:`~repro.sim.state.NodeStateArrays` so the vectorized
-        paths reuse its coordinate columns instead of rebuilding them.
+        ``method`` selects how candidate pairs are *found*: ``grid`` (the
+        default) takes each node's cell window from :class:`_SpatialIndex`,
+        ``bruteforce`` every other node — the O(N^2) reference scan the
+        tests compare against.  Both feed the same exact ``math.hypot``
+        re-measurement and ``(distance, rank)`` sort below, so the choice
+        can never change the result — only how long it takes.
         """
         if max_range <= 0:
             raise ValueError("max_range must be positive")
         order = tuple(positions)
+        if method == "grid":
+            near = _SpatialIndex(positions, max_range).near
+        elif method == "bruteforce":
+            near = lambda points: order  # noqa: E731
+        else:
+            raise ValueError(
+                "unknown candidate method %r; expected grid or bruteforce"
+                % (method,)
+            )
         rank_of = {node_id: rank for rank, node_id in enumerate(order)}
-        candidates = _neighbor_candidates(
-            positions, order, max_range, method=method, state=state
-        )
         dists: dict[int, tuple[float, ...]] = {}
         dist_ranks: dict[int, tuple[int, ...]] = {}
         ranks: dict[int, tuple[int, ...]] = {}
         ids: dict[int, tuple[int, ...]] = {}
         for node_id in order:
-            x1, y1 = positions[node_id]
+            point = positions[node_id]
+            x1, y1 = point
             entries = []
-            for other in candidates[node_id]:
+            for other in near((point,)):
+                if other == node_id:
+                    continue
                 x2, y2 = positions[other]
                 dist = math.hypot(x1 - x2, y1 - y2)
                 if dist <= max_range:
@@ -219,206 +200,30 @@ class ChannelGeometry:
         cls,
         positions: Mapping[int, tuple[float, float]],
         max_range: float,
-        method: str = "auto",
-        state: "NodeStateArrays | None" = None,
+        method: str = "grid",
     ) -> "ChannelGeometry":
         """Alias of :meth:`from_positions` (the original name, kept for
         existing callers)."""
-        return cls.from_positions(positions, max_range, method=method, state=state)
-
-
-def _neighbor_candidates(
-    positions: Mapping[int, tuple[float, float]],
-    order: tuple[int, ...],
-    max_range: float,
-    method: str = "auto",
-    state: "NodeStateArrays | None" = None,
-) -> dict[int, list[int]]:
-    """Per-node candidate neighbor lists (a superset of the in-range sets).
-
-    Whatever the method, the caller re-measures every candidate with
-    ``math.hypot`` and sorts entries by the total ``(distance, rank)``
-    order, so candidate *generation* — method, enumeration order, slack
-    margin — is structurally unable to change the resulting tables; only
-    a missed true neighbor could, and every method below provably returns
-    a superset of the in-range sets.
-
-    ``bruteforce``
-        Every other node is a candidate — the pure O(N^2) reference scan.
-    ``dense``
-        The all-pairs squared-distance matrix in one numpy pass with
-        :data:`_CANDIDATE_SLACK` margin (falls back to ``bruteforce``
-        without numpy).
-    ``grid``
-        The cell-list spatial hash: nodes binned into ``max_range``-sized
-        buckets, candidates drawn from each node's 3x3 cell neighborhood
-        — O(N x degree) instead of O(N^2).
-    ``auto``
-        ``grid`` at :data:`_SPATIAL_HASH_MIN_NODES` and above, else
-        ``dense`` when numpy is importable and N >=
-        :data:`_VECTORIZE_MIN_NODES`, else ``bruteforce``.
-    """
-    if method == "auto":
-        if len(order) >= _SPATIAL_HASH_MIN_NODES:
-            method = "grid"
-        elif _np is not None and len(order) >= _VECTORIZE_MIN_NODES:
-            method = "dense"
-        else:
-            method = "bruteforce"
-    if method == "bruteforce" or (method == "dense" and _np is None):
-        return {
-            node_id: [other for other in order if other != node_id]
-            for node_id in order
-        }
-    if method == "dense":
-        xs, ys = _coordinate_columns(positions, order, state)
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        squared = dx * dx + dy * dy
-        limit = (max_range * (1.0 + _CANDIDATE_SLACK)) ** 2
-        mask = squared <= limit
-        _np.fill_diagonal(mask, False)
-        return {
-            node_id: [order[j] for j in _np.nonzero(mask[i])[0]]
-            for i, node_id in enumerate(order)
-        }
-    if method == "grid":
-        return _grid_candidates(positions, order, max_range, state)
-    raise ValueError(
-        "unknown candidate method %r; expected auto/bruteforce/dense/grid"
-        % (method,)
-    )
-
-
-def _coordinate_columns(
-    positions: Mapping[int, tuple[float, float]],
-    order: tuple[int, ...],
-    state: "NodeStateArrays | None",
-):
-    """Coordinate arrays in rank order, reusing shared state when valid."""
-    if state is not None and state.uses_numpy and state.ids == order:
-        return state.xs, state.ys
-    n = len(order)
-    xs = _np.empty(n, dtype=_np.float64)
-    ys = _np.empty(n, dtype=_np.float64)
-    for i, node_id in enumerate(order):
-        xs[i], ys[i] = positions[node_id]
-    return xs, ys
-
-
-def _grid_candidates(
-    positions: Mapping[int, tuple[float, float]],
-    order: tuple[int, ...],
-    max_range: float,
-    state: "NodeStateArrays | None" = None,
-) -> dict[int, list[int]]:
-    """Cell-list candidates: measure only the 3x3 bucket neighborhood.
-
-    Cells are ``max_range`` on a side, so any true neighbor of a node lies
-    in a cell whose index is within the node's *window* — the floor-divided
-    cell range of ``[coord - margin, coord + margin]`` per axis, where
-    ``margin = max_range * (1 + _CANDIDATE_SLACK)``.  The window is
-    computed per *node*, not per cell: a fixed 3x3 window around the
-    node's own cell would be off by one when float rounding pushes a
-    coordinate across a cell edge, whereas floor division is monotone in
-    its (correctly rounded) argument and the slack margin (~2.5e-7 m at
-    250 m range) exceeds that rounding by orders of magnitude for any
-    realistic field, so the window provably covers every in-range
-    neighbor.  Nodes sharing a window are processed as one group through
-    numpy (gather the window's bucket members once, one broadcast
-    squared-distance prefilter); without numpy the whole window membership
-    is returned as candidates and the caller's exact scan does the rest.
-    """
-    cell = max_range
-    margin = max_range * (1.0 + _CANDIDATE_SLACK)
-    if _np is None:
-        return _grid_candidates_python(positions, order, cell, margin)
-    n = len(order)
-    xs, ys = _coordinate_columns(positions, order, state)
-    inv = 1.0 / cell
-    cell_x = _np.floor(xs * inv).astype(_np.int64)
-    cell_y = _np.floor(ys * inv).astype(_np.int64)
-    lo_x = _np.floor((xs - margin) * inv).astype(_np.int64)
-    hi_x = _np.floor((xs + margin) * inv).astype(_np.int64)
-    lo_y = _np.floor((ys - margin) * inv).astype(_np.int64)
-    hi_y = _np.floor((ys + margin) * inv).astype(_np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(zip(cell_x.tolist(), cell_y.tolist())):
-        buckets.setdefault(key, []).append(i)
-    bucket_rows = {
-        key: _np.array(members, dtype=_np.intp)
-        for key, members in buckets.items()
-    }
-    windows: dict[tuple[int, int, int, int], list[int]] = {}
-    rows = zip(lo_x.tolist(), hi_x.tolist(), lo_y.tolist(), hi_y.tolist())
-    for i, window in enumerate(rows):
-        windows.setdefault(window, []).append(i)
-    limit = margin * margin
-    out: dict[int, list[int]] = {}
-    for (x_lo, x_hi, y_lo, y_hi), members in windows.items():
-        blocks = [
-            bucket_rows[key]
-            for key in (
-                (a, b)
-                for a in range(x_lo, x_hi + 1)
-                for b in range(y_lo, y_hi + 1)
-            )
-            if key in bucket_rows
-        ]
-        cand = blocks[0] if len(blocks) == 1 else _np.concatenate(blocks)
-        member_rows = _np.array(members, dtype=_np.intp)
-        dx = xs[cand][None, :] - xs[member_rows][:, None]
-        dy = ys[cand][None, :] - ys[member_rows][:, None]
-        close = (dx * dx + dy * dy) <= limit
-        for row, i in enumerate(members):
-            node_id = order[i]
-            out[node_id] = [
-                order[j] for j in cand[close[row]].tolist() if j != i
-            ]
-    return out
-
-
-def _grid_candidates_python(
-    positions: Mapping[int, tuple[float, float]],
-    order: tuple[int, ...],
-    cell: float,
-    margin: float,
-) -> dict[int, list[int]]:
-    """Pure-python cell-list candidates (no prefilter: whole windows).
-
-    Float ``//`` is the exact floor of the correctly rounded quotient —
-    monotone in the numerator — so the per-node windows cover every
-    in-range neighbor for the same reason as the numpy path.
-    """
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for node_id in order:
-        x, y = positions[node_id]
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append(node_id)
-    out: dict[int, list[int]] = {}
-    for node_id in order:
-        x, y = positions[node_id]
-        x_lo, x_hi = int((x - margin) // cell), int((x + margin) // cell)
-        y_lo, y_hi = int((y - margin) // cell), int((y + margin) // cell)
-        candidates: list[int] = []
-        for a in range(x_lo, x_hi + 1):
-            for b in range(y_lo, y_hi + 1):
-                members = buckets.get((a, b))
-                if members:
-                    candidates.extend(members)
-        out[node_id] = [other for other in candidates if other != node_id]
-    return out
+        return cls.from_positions(positions, max_range, method=method)
 
 
 class _SpatialIndex:
-    """Live grid-bucket membership over the channel's mutable positions.
+    """Cell list: grid-bucket membership of a set of positions.
 
-    The freeze-time cell list is immutable per pass; this index is its
-    *dynamic* sibling, kept current by :meth:`Channel.update_position` so
-    mobility repair can ask "which nodes could a table change involve?"
-    and get O(degree) bucket members instead of scanning all N tables.
-    Cells are ``max_range`` on a side and :meth:`near` applies the same
-    slack-margin windows as :func:`_grid_candidates`, so the answer is
-    always a superset of the nodes whose tables the move can touch.
+    Cells are ``max_range`` on a side.  :meth:`near` scans, per query
+    point, the cells of its *window* — the floor-divided cell range of
+    ``[coord - margin, coord + margin]`` per axis, ``margin = max_range *
+    (1 + _CANDIDATE_SLACK)``.  The window is computed per point, not as a
+    fixed 3x3 block around the point's own cell: float ``//`` is the exact
+    floor of the correctly rounded quotient, monotone in its numerator, and
+    the slack (~2.5e-7 m at 250 m range) exceeds the rounding of ``coord -
+    margin`` by orders of magnitude for any realistic field, so the window
+    provably covers every node within ``max_range``.
+
+    :meth:`ChannelGeometry.from_positions` builds one per freeze to find
+    candidate pairs; :class:`Channel` keeps one live after the first move,
+    rebucketed by :meth:`Channel.update_position`, so mobility repair
+    touches O(degree) tables instead of all N.
     """
 
     __slots__ = ("cell", "margin", "buckets", "cells")
@@ -455,9 +260,9 @@ class _SpatialIndex:
         """Nodes bucketed within range of any of ``points``.
 
         Deterministic order (window scan order, bucket insertion order
-        within a cell) with each node listed once; callers patch
-        independent per-node tables, so the order is unobservable in
-        results either way.
+        within a cell) with each node listed once; callers sort what they
+        measure or patch independent per-node tables, so the order is
+        unobservable in results either way.
         """
         cell = self.cell
         margin = self.margin
@@ -573,13 +378,6 @@ class Channel:
         :attr:`geometry_mismatches`, which
         :class:`~repro.sim.network.WirelessNetwork` surfaces as a run
         warning so the wasted pass is observable.
-    spatial_index:
-        Force the live :class:`_SpatialIndex` on (True) or off (False)
-        for mobility repair; ``None`` (default) enables it automatically
-        at :data:`_SPATIAL_HASH_MIN_NODES` and above.  Both settings
-        produce bit-identical tables — the flag exists so the equivalence
-        suite can exercise the indexed path at small N and the reference
-        path at large N.
     model:
         Optional :class:`~repro.sim.channel_models.ChannelModel` deciding
         per-reception admission among the in-reach candidates.  Geometry
@@ -596,7 +394,6 @@ class Channel:
         positions: Mapping[int, tuple[float, float]],
         max_range: float,
         geometry: "ChannelGeometry | None" = None,
-        spatial_index: bool | None = None,
         model: "ChannelModel | None" = None,
     ) -> None:
         if max_range <= 0:
@@ -610,11 +407,8 @@ class Channel:
         self._ranks: dict[int, int] = {}
         self._frozen = False
         self._distance_cache: dict[tuple[int, int], float] = {}
-        #: Columnar twin of :attr:`positions` plus snapshot columns for
-        #: energy/radio state — the shared arrays geometry passes and
-        #: scale tooling read (see :mod:`repro.sim.state`).
-        self.state = NodeStateArrays.from_positions(self.positions)
-        self._spatial_override = spatial_index
+        #: Bucket index over :attr:`positions`; None until a table build
+        #: or a move after the last freeze needs it (see :meth:`_index`).
         self._spatial: _SpatialIndex | None = None
         #: The bound channel model (None for the implicit disc).  The
         #: delivery loop consults :attr:`_filter` instead: transparent
@@ -677,26 +471,27 @@ class Channel:
 
         Called automatically on first propagation/neighbor use after the
         last :meth:`register`; call it explicitly after network assembly to
-        front-load the O(N^2) geometry pass.  Registering another PHY
+        front-load the geometry pass.  Registering another PHY
         un-freezes the channel and the next use re-freezes it.
 
-        The pair scan runs through :class:`ChannelGeometry` — vectorized
-        when numpy is importable, plain python otherwise, and skipped
-        entirely when a still-valid prebuilt geometry was handed to the
-        constructor.  All three paths produce bit-identical tables (the
-        pinned digests of ``tests/test_orchestration.py`` run over every
-        one of them).
+        The pair scan runs through :class:`ChannelGeometry`'s cell list,
+        and is skipped entirely when a still-valid prebuilt geometry was
+        handed to the constructor; a partially registered network builds
+        each table through the bucket index instead.  All paths produce
+        bit-identical tables (the pinned digests of
+        ``tests/test_orchestration.py`` run over them).
         """
         self._ranks = {node_id: rank for rank, node_id in enumerate(self._phys)}
+        self._spatial = None  # positions may have moved while unfrozen
         geometry = self._geometry
         if geometry is not None and not self._geometry_valid(geometry):
             geometry = None
             self.geometry_mismatches += 1
         if geometry is None and tuple(self._phys) == tuple(self.positions):
             # The standard fully-registered network: ranks equal position
-            # order, so the (possibly vectorized) geometry pass applies.
+            # order, so the geometry pass applies.
             geometry = ChannelGeometry.from_positions(
-                self.positions, self.max_range, state=self.state
+                self.positions, self.max_range
             )
         if geometry is not None:
             # Ranks equal registration indices here (checked above), so
@@ -709,22 +504,14 @@ class Channel:
                 for node_id in self.positions
             }
         else:
-            # Partial registration (some placed nodes have no PHY): keep
-            # the naive scan, whose tables only list registered nodes.
-            # Tables are keyed by position (not registration): the naive
-            # scan answered neighbor queries for any placed node.
+            # Partial registration (some placed nodes have no PHY): the
+            # tables only list registered nodes, but are keyed by
+            # position (not registration) so neighbor queries answer for
+            # any placed node.
             self._tables = {
                 node_id: self._build_table(node_id)
                 for node_id in self.positions
             }
-        use_spatial = self._spatial_override
-        if use_spatial is None:
-            use_spatial = len(self.positions) >= _SPATIAL_HASH_MIN_NODES
-        self._spatial = (
-            _SpatialIndex(self.positions, self.max_range)
-            if use_spatial
-            else None
-        )
         self._frozen = True
 
     def _geometry_valid(self, geometry: ChannelGeometry) -> bool:
@@ -759,37 +546,31 @@ class Channel:
             ranks=list(ranks),
         )
 
+    def _index(self) -> _SpatialIndex:
+        """The bucket index over current positions, built on first use.
+
+        :meth:`freeze` drops it, so a static run that instantiates its
+        tables from a geometry never builds one; the first move after a
+        freeze builds it from the pre-move positions.
+        """
+        if self._spatial is None:
+            self._spatial = _SpatialIndex(self.positions, self.max_range)
+        return self._spatial
+
     def _build_table(self, node_id: int) -> _NeighborTable:
-        """Distance-sorted neighbor table of one node at current positions."""
-        max_range = self.max_range
-        distance = self.distance
-        ranks = self._ranks
-        in_range: list[tuple[float, int, "Phy"]] = []
-        for other, phy in self._phys.items():
-            if other == node_id:
-                continue
-            dist = distance(node_id, other)
-            if dist <= max_range:
-                in_range.append((dist, ranks[other], phy))
-        return self._table_from_entries(in_range)
+        """Distance-sorted neighbor table of one node at current positions.
 
-    def _build_table_spatial(
-        self, node_id: int, spatial: _SpatialIndex
-    ) -> _NeighborTable:
-        """Like :meth:`_build_table`, scanning only nearby bucket members.
-
-        The index returns a superset of the in-range registered nodes
-        (unregistered bucket members are skipped, exactly as the full
-        scan only iterates registered PHYs), and the exact-measure /
-        sort pipeline is shared, so the table is bit-identical to the
-        full scan's.
+        Measures only the registered nodes the bucket index files within
+        range of ``node_id`` (a superset of its neighbors; unregistered
+        placed nodes are skipped), then sorts by ``(distance, rank)`` —
+        rank breaks distance ties so the bisected prefix is reproducible.
         """
         max_range = self.max_range
         distance = self.distance
         ranks = self._ranks
         phys = self._phys
         in_range: list[tuple[float, int, "Phy"]] = []
-        for other in spatial.near((self.positions[node_id],)):
+        for other in self._index().near((self.positions[node_id],)):
             if other == node_id:
                 continue
             phy = phys.get(other)
@@ -798,14 +579,6 @@ class Channel:
             dist = distance(node_id, other)
             if dist <= max_range:
                 in_range.append((dist, ranks[other], phy))
-        return self._table_from_entries(in_range)
-
-    @staticmethod
-    def _table_from_entries(
-        in_range: list[tuple[float, int, "Phy"]]
-    ) -> _NeighborTable:
-        # Sort by (distance, rank): rank breaks distance ties so the
-        # bisected prefix is reproducible.
         in_range.sort(key=lambda item: (item[0], item[1]))
         by_rank = sorted(in_range, key=lambda item: item[1])
         return _NeighborTable(
@@ -820,65 +593,30 @@ class Channel:
         """Move ``node_id`` to ``position``, repairing geometry incrementally.
 
         The dynamic-topology entry point (driven by
-        :mod:`repro.sim.mobility` timers).  Cached distances involving the
-        node are invalidated, the node's own neighbor table is rebuilt,
-        and every affected node's table is patched in place for the one
-        entry that changed.  Links that appear or vanish bump
-        :attr:`link_changes` once each (links are undirected; both
-        endpoint tables change together because reach is symmetric).
+        :mod:`repro.sim.mobility` timers).  Cached distances are dropped
+        (they refill lazily and identically), the node's own neighbor
+        table is rebuilt, and every affected node's table is patched in
+        place for the one entry that changed.  Links that appear or
+        vanish bump :attr:`link_changes` once each (links are undirected;
+        both endpoint tables change together because reach is
+        symmetric).
 
-        Below the spatial-hash threshold "affected" means every table —
-        O(N) work per moved node.  With the live :class:`_SpatialIndex`
-        (auto at scale, or forced via the constructor's
-        ``spatial_index``), only tables of nodes bucketed within range of
-        the *old or new* position are consulted: any table holding the
-        mover lies within range of the old position, and any table the
-        mover enters lies within range of the new one, so the bucket
-        union covers every table the full scan could have touched and the
-        repair is O(degree) per move.  Both paths produce bit-identical
-        tables and the same :attr:`link_changes` total.
+        "Affected" means the nodes the bucket index files within range of
+        the *old or new* position: any table holding the mover lies within
+        range of the old position, and any table the mover enters lies
+        within range of the new one, so the bucket union covers every
+        table the move can change and the repair is O(degree) per move.
         """
         if node_id not in self.positions:
             raise ValueError("node %r has no position" % node_id)
+        self.position_updates += 1
+        self._distance_cache.clear()
+        if not self._frozen:
+            self.positions[node_id] = position
+            return  # next freeze() rebuilds everything from positions
+        spatial = self._index()
         old_position = self.positions[node_id]
         self.positions[node_id] = position
-        self.state.set_position(node_id, position)
-        self.position_updates += 1
-        cache = self._distance_cache
-        spatial = self._spatial if self._frozen else None
-        if spatial is None:
-            for other in self.positions:
-                key = (other, node_id) if other <= node_id else (node_id, other)
-                cache.pop(key, None)
-            if not self._frozen:
-                return  # next freeze() rebuilds everything from positions
-            phy = self._phys.get(node_id)
-            if phy is not None:
-                rank = self._ranks[node_id]
-                max_range = self.max_range
-                distance = self.distance
-                for other, table in self._tables.items():
-                    if other == node_id:
-                        continue
-                    dist = distance(other, node_id)
-                    slot = bisect_right(table.ranks, rank) - 1
-                    present = slot >= 0 and table.ranks[slot] == rank
-                    if dist <= max_range:
-                        if present:
-                            table.move(rank, phy, dist)
-                        else:
-                            table.insert(rank, phy, dist)
-                            self.link_changes += 1
-                    elif present:
-                        table.remove(rank)
-                        self.link_changes += 1
-            self._tables[node_id] = self._build_table(node_id)
-            return
-        # Indexed repair: drop the whole distance cache (O(live entries),
-        # amortized cheaper than N keyed pops per move at scale — values
-        # refill lazily and identically), rebucket the mover, and patch
-        # only the tables its move can have changed.
-        cache.clear()
         spatial.move(node_id, position)
         tables = self._tables
         phy = self._phys.get(node_id)
@@ -902,7 +640,7 @@ class Channel:
                 elif present:
                     table.remove(rank)
                     self.link_changes += 1
-        tables[node_id] = self._build_table_spatial(node_id, spatial)
+        tables[node_id] = self._build_table(node_id)
 
     def _table(self, node_id: int) -> _NeighborTable:
         if not self._frozen:

@@ -538,21 +538,6 @@ class WirelessNetwork:
             }
         return None
 
-    def node_state_snapshot(self):
-        """Refresh and return the channel's columnar node state.
-
-        Bulk-captures every node's energy total and radio ``state_since``
-        into the shared :class:`~repro.sim.state.NodeStateArrays` — the
-        probe scale tooling (``repro perf-scale``) reads instead of
-        iterating python objects per node.
-        """
-        state = self.channel.state
-        state.capture(
-            ledgers=self.energy.nodes,
-            phys=(node.phy for node in self.nodes.values()),
-        )
-        return state
-
     # ------------------------------------------------------------------
     # Derived measures
     # ------------------------------------------------------------------

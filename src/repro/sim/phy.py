@@ -165,17 +165,6 @@ class Phy:
         return self._state
 
     @property
-    def state_since(self) -> float:
-        """Simulation time of the last radio-state change.
-
-        ``+inf`` after :meth:`fail` (the radio never changes state again).
-        Read by the columnar snapshots of :mod:`repro.sim.state`; the
-        backing field stays a slotted scalar because it is written on
-        every state change — the hottest path in the simulator.
-        """
-        return self._state_since
-
-    @property
     def asleep(self) -> bool:
         return self._state is _SLEEP
 

@@ -3,8 +3,8 @@
 Covers the contracts the batched dispatch layer adds on top of PR 1's
 orchestrator:
 
-* the vectorized channel-geometry kernel produces **bit-identical** tables
-  to the pure-python scan, and a prebuilt/shared geometry to a fresh one;
+* the cell-list channel geometry produces **bit-identical** tables to
+  the brute-force scan, and a prebuilt/shared geometry to a fresh one;
 * ``run_batch`` equals per-seed ``run_single`` for shared-placement and
   per-seed-placement scenarios alike (mobility included — shared geometry
   must never leak one seed's table patches into the next);
@@ -23,7 +23,6 @@ import random
 
 import pytest
 
-import repro.sim.channel as channel_mod
 from repro.cli import main as cli_main
 from repro.experiments.parallel import (
     GridBatch,
@@ -88,28 +87,19 @@ class TestChannelGeometry:
             count, 400.0, 400.0, random.Random("geometry-test")
         )
 
-    def test_vectorized_equals_python_fallback(self, monkeypatch):
-        """The numpy candidate pass must not change a single table entry."""
-        placement = self._placement(40)
-        assert 40 >= channel_mod._VECTORIZE_MIN_NODES
-        vectorized = ChannelGeometry.build(placement.positions, 250.0)
-        monkeypatch.setattr(channel_mod, "_np", None)
-        fallback = ChannelGeometry.build(placement.positions, 250.0)
-        assert vectorized.dists == fallback.dists
-        assert vectorized.dist_ranks == fallback.dist_ranks
-        assert vectorized.ranks == fallback.ranks
-        assert vectorized.ids == fallback.ids
-
-    def test_distance_ties_break_identically(self, monkeypatch):
+    def test_distance_ties_break_identically(self):
         """Grid placements are all ties; orderings must still agree."""
         from repro.net.topology import grid_placement
 
-        placement = grid_placement(7, 300.0, 300.0)  # 49 nodes >= threshold
-        vectorized = ChannelGeometry.build(placement.positions, 90.0)
-        monkeypatch.setattr(channel_mod, "_np", None)
-        fallback = ChannelGeometry.build(placement.positions, 90.0)
-        assert vectorized.dists == fallback.dists
-        assert vectorized.dist_ranks == fallback.dist_ranks
+        placement = grid_placement(7, 300.0, 300.0)  # 49 nodes
+        grid = ChannelGeometry.build(placement.positions, 90.0)
+        brute = ChannelGeometry.build(
+            placement.positions, 90.0, method="bruteforce"
+        )
+        assert grid.dists == brute.dists
+        assert grid.dist_ranks == brute.dist_ranks
+        assert grid.ranks == brute.ranks
+        assert grid.ids == brute.ids
 
     def test_prebuilt_geometry_run_is_bit_identical(self, tiny_grid):
         base = run_single(tiny_grid, "DSR-ODPM", 2.0, 1)

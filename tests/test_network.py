@@ -174,11 +174,13 @@ class TestPublicApi:
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
 
-    def test_import_path_loads_no_scipy_networkx_or_xml_sax(self, tmp_path):
+    def test_import_path_loads_no_numpy_scipy_networkx_or_xml_sax(
+        self, tmp_path
+    ):
         """A fresh interpreter imports the package, sweeps one smoke cell
-        into a store and renders its report without loading scipy,
+        into a store and renders its report without loading numpy, scipy,
         networkx or xml.sax; the first confidence interval over two
-        samples then imports scipy.stats."""
+        samples then imports scipy.stats (which may bring numpy)."""
         script = textwrap.dedent(
             """
             import sys
@@ -199,7 +201,7 @@ class TestPublicApi:
 
             print(sorted(
                 name for name in sys.modules
-                if name.split(".")[0] in ("scipy", "networkx")
+                if name.split(".")[0] in ("numpy", "scipy", "networkx")
                 or name.startswith("xml.sax")
             ))
             mean_ci([1.0, 2.0])

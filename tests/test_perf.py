@@ -1,18 +1,10 @@
-"""Tests for the performance observability layer (:mod:`repro.perf`)."""
+"""Tests for the profiling helpers behind ``--profile`` (:mod:`repro.perf`)."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.perf import (
-    BENCH_FORMAT_VERSION,
-    format_benchmark_report,
-    profile_call,
-    run_kernel_benchmarks,
-    write_benchmark_report,
-)
+from repro.perf import profile_call
 
 
 class TestProfileCall:
@@ -36,63 +28,7 @@ class TestProfileCall:
             profile_call(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
 
 
-class TestKernelBenchmarks:
-    @pytest.fixture(scope="class")
-    def report(self):
-        # Tiny sizes: the structure is under test, not the numbers.
-        return run_kernel_benchmarks(
-            events=2_000, timers=10, restarts=5, rate_kbps=2.0, seed=1
-        )
-
-    def test_report_structure(self, report):
-        assert report["version"] == BENCH_FORMAT_VERSION
-        assert set(report["benchmarks"]) == {
-            "schedule_fire",
-            "timer_churn",
-            "fig8_cell",
-        }
-        for entry in report["benchmarks"].values():
-            assert entry["events_per_second"] > 0
-            assert entry["seconds"] > 0
-
-    def test_schedule_fire_counts_every_event(self, report):
-        assert report["benchmarks"]["schedule_fire"]["events"] == 2_000
-
-    def test_timer_churn_heap_stays_bounded(self, report):
-        churn = report["benchmarks"]["timer_churn"]
-        assert churn["final_queue_size"] <= 200  # compaction held the line
-
-    def test_fig8_cell_names_its_configuration(self, report):
-        cell = report["benchmarks"]["fig8_cell"]
-        assert cell["protocol"] == "DSR-ODPM"
-        assert cell["rate_kbps"] == 2.0
-        assert cell["events"] > 0
-
-    def test_write_report_roundtrips(self, report, tmp_path):
-        path = tmp_path / "BENCH_kernel.json"
-        write_benchmark_report(report, str(path))
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        assert loaded == report
-
-    def test_format_report_lists_all_benchmarks(self, report):
-        text = format_benchmark_report(report)
-        for name in report["benchmarks"]:
-            assert name in text
-
-
 class TestCli:
-    def test_perf_command_writes_report(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main([
-            "perf", "--out", str(out), "--events", "1000",
-            "--timers", "5", "--restarts", "3", "--rate", "2",
-        ])
-        assert code == 0
-        assert "Kernel throughput" in capsys.readouterr().out
-        assert json.loads(out.read_text(encoding="utf-8"))["benchmarks"]
-
     def test_profile_flag_prints_report(self, capsys):
         from repro.cli import main
 
@@ -108,13 +44,3 @@ class TestCli:
         assert main(["table1", "--profile", "--profile-dump", str(dump)]) == 0
         assert dump.exists()
         assert "raw profile dumped" in capsys.readouterr().err
-
-    def test_committed_baseline_is_valid(self):
-        """The repo-root BENCH_kernel.json must parse and carry throughput."""
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-        report = json.loads(path.read_text(encoding="utf-8"))
-        assert report["version"] == BENCH_FORMAT_VERSION
-        for entry in report["benchmarks"].values():
-            assert entry["events_per_second"] > 0

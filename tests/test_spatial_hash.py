@@ -1,4 +1,4 @@
-"""Equivalence suite pinning the spatial-hash geometry to brute force.
+"""Equivalence suite pinning the cell-list geometry to brute force.
 
 The cell-list candidate pass and the bucket-limited mobility repair are
 *optimizations*: they must be byte-identical to the O(N^2) reference scan
@@ -8,18 +8,16 @@ distances, coordinates pinned to bucket boundaries, whole networks inside
 one bucket).  This module asserts exactly that, three ways:
 
 * :class:`TestGeometryEquivalence` — ``ChannelGeometry`` built with
-  ``method="grid"`` equals ``method="bruteforce"`` (and ``"dense"``) on
-  adversarial fixtures and hypothesis-random position sets;
+  ``method="grid"`` equals ``method="bruteforce"`` on adversarial
+  fixtures and hypothesis-random position sets;
 * :class:`TestIndexedMobilityRepair` — ``update_position`` through the
-  live ``_SpatialIndex`` equals a fresh freeze and the unindexed patch
-  path, extending the PR 3 pattern of ``tests/test_mobility.py``;
+  live ``_SpatialIndex`` equals a fresh brute-force freeze after every
+  move, extending the PR 3 pattern of ``tests/test_mobility.py``;
 * :class:`TestStaleGeometryWarning` — a rejected prebuilt geometry is
   *correct* (the ignore path) and now *observable* (the
   ``geometry_mismatches`` counter, surfaced as ``RunResult.warnings``).
 
-Plus coverage for the scale-support layers that ride on the same PR: the
-shared :class:`~repro.sim.state.NodeStateArrays` columns and the
-streaming latency metrics large runs switch to.
+Plus coverage for the streaming latency metrics large runs switch to.
 """
 
 from __future__ import annotations
@@ -36,12 +34,7 @@ from repro.core.radio import CABLETRON, MICA2
 from repro.metrics.collectors import RunResult
 from repro.metrics.stats import StreamingLatencies, percentile
 from repro.net.topology import Placement
-from repro.sim.channel import (
-    _SPATIAL_HASH_MIN_NODES,
-    Channel,
-    ChannelGeometry,
-    _SpatialIndex,
-)
+from repro.sim.channel import Channel, ChannelGeometry, _SpatialIndex
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkConfig, WirelessNetwork
 from repro.sim.phy import Phy
@@ -71,11 +64,10 @@ def _assert_same_geometry(a: ChannelGeometry, b: ChannelGeometry) -> None:
 
 def _build_channel(
     positions: dict[int, tuple[float, float]],
-    spatial_index: bool | None = None,
     max_range: float = RANGE,
 ) -> Channel:
     sim = Simulator(seed=1)
-    channel = Channel(sim, positions, max_range, spatial_index=spatial_index)
+    channel = Channel(sim, positions, max_range)
     for node_id in positions:
         Phy(sim, channel, node_id, CABLETRON, NodeEnergy(card=CABLETRON))
     channel.freeze()
@@ -91,6 +83,27 @@ def _table_snapshot(channel: Channel, node_id: int):
         list(table.ids),
         list(table.ranks),
     )
+
+
+def _geometry_snapshot(geometry: ChannelGeometry, node_id: int):
+    """The :func:`_table_snapshot` a freeze from ``geometry`` would give."""
+    order = geometry.order
+    return (
+        list(geometry.dists[node_id]),
+        [(rank, order[rank]) for rank in geometry.dist_ranks[node_id]],
+        list(geometry.ids[node_id]),
+        list(geometry.ids[node_id]),
+        list(geometry.ranks[node_id]),
+    )
+
+
+def _links(geometry: ChannelGeometry) -> set[tuple[int, int]]:
+    """Undirected in-range links of a geometry."""
+    return {
+        (min(node_id, other), max(node_id, other))
+        for node_id in geometry.order
+        for other in geometry.ids[node_id]
+    }
 
 
 # ----------------------------------------------------------------------
@@ -182,9 +195,7 @@ class TestGeometryEquivalence:
             positions, RANGE, method="bruteforce"
         )
         grid = ChannelGeometry.from_positions(positions, RANGE, method="grid")
-        dense = ChannelGeometry.from_positions(positions, RANGE, method="dense")
         _assert_same_geometry(brute, grid)
-        _assert_same_geometry(brute, dense)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
     def test_adversarial_sets_identical_at_sensor_range(self, name):
@@ -220,7 +231,7 @@ class TestGeometryEquivalence:
     def test_exact_range_boundary_included(self):
         """A pair at exactly max_range is a link — in every method."""
         positions = {0: (0.0, 0.0), 1: (RANGE, 0.0), 2: (0.0, RANGE + 1e-9)}
-        for method in ("bruteforce", "grid", "dense"):
+        for method in ("bruteforce", "grid"):
             geometry = ChannelGeometry.from_positions(
                 positions, RANGE, method=method
             )
@@ -247,36 +258,9 @@ class TestGeometryEquivalence:
         grid = ChannelGeometry.from_positions(positions, reach, method="grid")
         _assert_same_geometry(brute, grid)
 
-    def test_auto_uses_grid_above_crossover(self, monkeypatch):
-        """`auto` must dispatch to the hash at scale (and stay identical)."""
-        import repro.sim.channel as channel_module
-
-        rng = random.Random(11)
-        positions = {
-            i: (rng.uniform(0, 1500), rng.uniform(0, 1500)) for i in range(96)
-        }
-        monkeypatch.setattr(channel_module, "_SPATIAL_HASH_MIN_NODES", 96)
-        calls = []
-        original = channel_module._grid_candidates
-
-        def _spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(channel_module, "_grid_candidates", _spy)
-        auto = ChannelGeometry.from_positions(positions, RANGE)
-        assert calls, "auto did not dispatch to the spatial hash"
-        brute = ChannelGeometry.from_positions(
-            positions, RANGE, method="bruteforce"
-        )
-        _assert_same_geometry(brute, auto)
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="candidate method"):
             ChannelGeometry.from_positions({0: (0.0, 0.0)}, RANGE, method="kd")
-
-    def test_crossover_constant_is_sane(self):
-        assert _SPATIAL_HASH_MIN_NODES > 64
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +276,7 @@ class TestIndexedMobilityRepair:
         positions = {
             i: (rng.uniform(0, 300), rng.uniform(0, 300)) for i in range(count)
         }
-        channel = _build_channel(positions, spatial_index=True)
+        channel = _build_channel(positions)
         live = dict(positions)
         for _ in range(150):
             mover = rng.randrange(count)
@@ -306,25 +290,40 @@ class TestIndexedMobilityRepair:
             )
 
     def test_indexed_equals_unindexed_patching(self):
-        """Same move sequence, index on vs off: same tables, same counters."""
+        """Every move lands on a fresh brute-force freeze, links counted.
+
+        ``link_changes`` must equal the running count of undirected links
+        that differ between consecutive fresh freezes.
+        """
         rng = random.Random(19)
         count = 30
         positions = {
             i: (rng.uniform(0, 900), rng.uniform(0, 900)) for i in range(count)
         }
-        indexed = _build_channel(dict(positions), spatial_index=True)
-        plain = _build_channel(dict(positions), spatial_index=False)
+        channel = _build_channel(dict(positions))
+        live = dict(positions)
+        links = _links(
+            ChannelGeometry.from_positions(live, RANGE, method="bruteforce")
+        )
+        changed = 0
         for _ in range(200):
             mover = rng.randrange(count)
             target = (rng.uniform(0, 900), rng.uniform(0, 900))
-            indexed.update_position(mover, target)
-            plain.update_position(mover, target)
-        assert indexed.link_changes == plain.link_changes
-        assert indexed.position_updates == plain.position_updates
-        for node_id in range(count):
-            assert _table_snapshot(indexed, node_id) == _table_snapshot(
-                plain, node_id
+            live[mover] = target
+            channel.update_position(mover, target)
+            fresh = ChannelGeometry.from_positions(
+                live, RANGE, method="bruteforce"
             )
+            for node_id in range(count):
+                assert _table_snapshot(channel, node_id) == _geometry_snapshot(
+                    fresh, node_id
+                ), (mover, node_id)
+            fresh_links = _links(fresh)
+            changed += len(links ^ fresh_links)
+            links = fresh_links
+            assert channel.link_changes == changed
+        assert changed > 0
+        assert channel.position_updates == 200
 
     def test_cross_bucket_and_boundary_moves(self):
         """Jumps across many cells and landings on exact cell edges."""
@@ -334,7 +333,7 @@ class TestIndexedMobilityRepair:
             2: (RANGE * 3, RANGE * 3),
             3: (RANGE * 3 + 5.0, RANGE * 3),
         }
-        channel = _build_channel(positions, spatial_index=True)
+        channel = _build_channel(positions)
         script = [
             (0, (RANGE * 3 + 10.0, RANGE * 3)),  # far jump into the cluster
             (2, (RANGE, RANGE)),                 # land exactly on a cell corner
@@ -352,17 +351,13 @@ class TestIndexedMobilityRepair:
                 ), (mover, target)
 
     def test_distance_cache_refreshes_after_indexed_move(self):
-        channel = _build_channel(
-            {0: (0.0, 0.0), 1: (100.0, 0.0)}, spatial_index=True
-        )
+        channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
         assert channel.distance(0, 1) == pytest.approx(100.0)
         channel.update_position(1, (0.0, 40.0))
         assert channel.distance(0, 1) == pytest.approx(40.0)
 
     def test_link_changes_counted_once_per_link_indexed(self):
-        channel = _build_channel(
-            {0: (0.0, 0.0), 1: (100.0, 0.0)}, spatial_index=True
-        )
+        channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
         far = channel.max_range * 10
         channel.update_position(1, (far, far))
         assert channel.link_changes == 1
@@ -372,24 +367,22 @@ class TestIndexedMobilityRepair:
         assert channel.neighbors(0) == [1]
 
     def test_update_before_freeze_with_index_forced(self):
+        """A move before the freeze builds no index; the freeze sees it."""
         sim = Simulator(seed=1)
-        channel = Channel(
-            sim,
-            {0: (0.0, 0.0), 1: (100.0, 0.0)},
-            RANGE,
-            spatial_index=True,
-        )
+        channel = Channel(sim, {0: (0.0, 0.0), 1: (100.0, 0.0)}, RANGE)
         Phy(sim, channel, 0, CABLETRON, NodeEnergy(card=CABLETRON))
         Phy(sim, channel, 1, CABLETRON, NodeEnergy(card=CABLETRON))
         channel.update_position(1, (50.0, 0.0))  # not frozen yet
+        assert channel._spatial is None
         assert channel.neighbors(0) == [1]
         assert channel._tables[0].dists == [50.0]
+        assert channel._spatial is None  # a static freeze never builds it
 
     def test_index_rebuilt_after_late_registration(self):
         """register() unfreezes; the next freeze re-bins everyone."""
         sim = Simulator(seed=1)
         positions = {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (200.0, 0.0)}
-        channel = Channel(sim, positions, RANGE, spatial_index=True)
+        channel = Channel(sim, positions, RANGE)
         Phy(sim, channel, 0, CABLETRON, NodeEnergy(card=CABLETRON))
         Phy(sim, channel, 1, CABLETRON, NodeEnergy(card=CABLETRON))
         channel.freeze()
@@ -418,43 +411,19 @@ class TestIndexedMobilityRepair:
 
 
 # ----------------------------------------------------------------------
-# Shared node-state arrays
+# Positions
 # ----------------------------------------------------------------------
 
 
 class TestNodeStateArrays:
+    """Node positions live in one place: :attr:`Channel.positions`."""
+
     def test_positions_write_through(self):
         positions = {3: (10.0, 20.0), 8: (30.0, 40.0)}
         channel = _build_channel(dict(positions))
-        assert channel.state.position(8) == (30.0, 40.0)
         channel.update_position(8, (99.0, 98.0))
-        assert channel.state.position(8) == (99.0, 98.0)
         assert channel.positions[8] == (99.0, 98.0)
-        assert list(channel.state.ids) == [3, 8]
-
-    def test_capture_snapshots_energy_and_radio_state(self):
-        sim = Simulator(seed=1)
-        positions = {0: (0.0, 0.0), 1: (50.0, 0.0)}
-        channel = Channel(sim, positions, RANGE)
-        ledgers = {i: NodeEnergy(card=CABLETRON) for i in positions}
-        phys = {
-            i: Phy(sim, channel, i, CABLETRON, ledgers[i]) for i in positions
-        }
-        channel.freeze()
-        ledgers[1].charge_idle(2.0)
-        phys[0]._state_since = 42.0
-        channel.state.capture(ledgers=ledgers, phys=phys.values())
-        row0 = channel.state.index_of[0]
-        row1 = channel.state.index_of[1]
-        assert channel.state.state_since[row0] == 42.0
-        assert channel.state.energy_total[row1] == pytest.approx(
-            ledgers[1].total
-        )
-        summary = channel.state.summary()
-        assert summary["nodes"] == 2.0
-        assert summary["energy_total"] == pytest.approx(
-            ledgers[0].total + ledgers[1].total
-        )
+        assert channel.distance(3, 8) == math.hypot(89.0, 78.0)
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.experiments.resilience import (
 from repro.experiments.runner import run_single
 from repro.experiments.scenarios import Scenario
 from repro.experiments.store import ResultStore, cell_key
+from repro.sim.channel import ChannelGeometry
 
 #: The pinned digest of the tiny fixture's (DSR-ODPM, 2 Kbit/s, seed 1)
 #: cell — the same constant the orchestration and resilience suites pin
@@ -227,7 +228,8 @@ class TestWarmContract:
     def test_serial_sweep_derives_a_fixed_placement_once(
         self, tiny, tmp_path, monkeypatch, with_store
     ):
-        """One serial sweep shares one placement across all its units."""
+        """One serial sweep shares one placement and one geometry scan
+        across all its units: no seed re-derives either."""
         scenario = replace(
             tiny, grid=False, node_count=10
         ).with_fixed_placement(3)
@@ -235,16 +237,26 @@ class TestWarmContract:
             scenario, ("DSR-ODPM", "TITAN-PC"), (2.0, 4.0), seeds=(1, 2)
         )
         placement = Scenario.placement
+        from_positions = ChannelGeometry.from_positions.__func__
         calls = []
+        scans = []
 
         def counted(self, seed):
             calls.append(seed)
             return placement(self, seed)
 
+        def counted_scan(cls, positions, *args, **kwargs):
+            scans.append(len(positions))
+            return from_positions(cls, positions, *args, **kwargs)
+
         monkeypatch.setattr(Scenario, "placement", counted)
+        monkeypatch.setattr(
+            ChannelGeometry, "from_positions", classmethod(counted_scan)
+        )
         store = ResultStore(tmp_path / "store") if with_store else None
         results = run_grid(scenario, cells, jobs=1, store=store)
         assert len(calls) == 1
+        assert scans == [10]
         monkeypatch.undo()
         for cell in cells:
             reference = run_single(
