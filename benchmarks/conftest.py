@@ -9,7 +9,14 @@ normal calibrated timing loop.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Mapping, Sequence
+
+#: Worker processes for the figure sweeps.  Every sweep is byte-identical
+#: at any ``jobs`` (serial == parallel, pinned by the determinism tests),
+#: so this sets only the wall-clock; the cap keeps a many-core host from
+#: forking a worker per cell.
+BENCH_JOBS = min(4, os.cpu_count() or 1)
 
 
 def print_table(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.runner import sweep
 from repro.experiments.scenarios import small_network
 
-from conftest import print_table, run_once
+from conftest import BENCH_JOBS, print_table, run_once
 
 PROTOCOLS = (
     "TITAN-PC",
@@ -33,7 +33,9 @@ RATES = (2.0, 4.0, 6.0)
 @pytest.fixture(scope="module")
 def small_grid():
     scenario = small_network(scale="bench")
-    return sweep(scenario, protocols=PROTOCOLS, rates_kbps=RATES)
+    return sweep(
+        scenario, protocols=PROTOCOLS, rates_kbps=RATES, jobs=BENCH_JOBS
+    )
 
 
 def test_bench_fig8_delivery_ratio(benchmark, small_grid):

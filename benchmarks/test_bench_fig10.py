@@ -8,11 +8,12 @@ dominates communication.
 
 import pytest
 
-from repro.experiments.runner import run_many
+from repro.experiments.runner import sweep
 from repro.experiments.scenarios import large_network, small_network
 
-from conftest import print_table, run_once
+from conftest import BENCH_JOBS, print_table, run_once
 
+PROTOCOLS = ("TITAN-PC", "DSR-ODPM")
 RATES = (2.0, 4.0, 6.0)
 
 
@@ -22,17 +23,20 @@ def test_bench_fig10_transmit_energy(benchmark):
         large = large_network(scale="bench")
         results = {}
         for label, scenario in (("500x500", small), ("1300x1300", large)):
-            for protocol in ("TITAN-PC", "DSR-ODPM"):
-                for rate in RATES:
-                    results[(label, protocol, rate)] = run_many(
-                        scenario, protocol, rate
-                    )
+            grid = sweep(
+                scenario,
+                protocols=PROTOCOLS,
+                rates_kbps=RATES,
+                jobs=BENCH_JOBS,
+            )
+            for (protocol, rate), aggregate in grid.items():
+                results[(label, protocol, rate)] = aggregate
         return results
 
     results = run_once(benchmark, run)
     rows = []
     for label in ("500x500", "1300x1300"):
-        for protocol in ("TITAN-PC", "DSR-ODPM"):
+        for protocol in PROTOCOLS:
             rows.append(
                 [f"{protocol} ({label})"]
                 + [
@@ -62,7 +66,7 @@ def test_bench_fig10_transmit_energy(benchmark):
         assert titan < 0.95 * dsr, label
 
     # Transmit energy rises with offered load for both protocols.
-    for protocol in ("TITAN-PC", "DSR-ODPM"):
+    for protocol in PROTOCOLS:
         series = [
             results[("500x500", protocol, rate)].transmit_energy.mean
             for rate in RATES

@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.runner import sweep
 from repro.experiments.scenarios import large_network
 
-from conftest import print_table, run_once
+from conftest import BENCH_JOBS, print_table, run_once
 
 PROTOCOLS = (
     "TITAN-PC",
@@ -28,7 +28,9 @@ RATES = (2.0, 4.0, 6.0)
 @pytest.fixture(scope="module")
 def large_grid():
     scenario = large_network(scale="bench")
-    return sweep(scenario, protocols=PROTOCOLS, rates_kbps=RATES)
+    return sweep(
+        scenario, protocols=PROTOCOLS, rates_kbps=RATES, jobs=BENCH_JOBS
+    )
 
 
 def test_bench_fig11_delivery_ratio(benchmark, large_grid):

@@ -13,10 +13,11 @@ rate.  Paper shape:
 
 import pytest
 
+from repro.experiments.parallel import discover_routes
 from repro.experiments.runner import frozen_route_goodput
 from repro.experiments.scenarios import grid_network
 
-from conftest import print_table, run_once
+from conftest import BENCH_JOBS, print_table, run_once
 
 PROTOCOLS = (
     "TITAN-PC",
@@ -32,11 +33,18 @@ LOW_RATES = (2.0, 3.0, 4.0, 5.0)
 @pytest.fixture(scope="module")
 def grid_points():
     scenario = grid_network(scale="bench")
+    # One probe per protocol, shared by both schedulings.
+    routes = discover_routes(scenario, PROTOCOLS, jobs=BENCH_JOBS)
     points = {}
     for scheduling in ("perfect", "odpm"):
         for protocol in PROTOCOLS:
             points[(scheduling, protocol)] = frozen_route_goodput(
-                scenario, protocol, LOW_RATES, scheduling, duration=100.0
+                scenario,
+                protocol,
+                LOW_RATES,
+                scheduling,
+                duration=100.0,
+                routes=routes[protocol],
             )
     return points
 

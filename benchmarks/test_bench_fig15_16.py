@@ -9,10 +9,11 @@ TITAN-PC stays ahead below 200 Kbit/s, with the gap narrowing at the top.
 
 import pytest
 
+from repro.experiments.parallel import discover_routes
 from repro.experiments.runner import frozen_route_goodput
 from repro.experiments.scenarios import HIGH_RATES_KBPS, grid_network
 
-from conftest import print_table, run_once
+from conftest import BENCH_JOBS, print_table, run_once
 
 PROTOCOLS = (
     "TITAN-PC",
@@ -27,11 +28,18 @@ PROTOCOLS = (
 @pytest.fixture(scope="module")
 def highrate_points():
     scenario = grid_network(scale="bench")
+    # One probe per protocol, shared by both schedulings.
+    routes = discover_routes(scenario, PROTOCOLS, jobs=BENCH_JOBS)
     points = {}
     for scheduling in ("perfect", "odpm"):
         for protocol in PROTOCOLS:
             points[(scheduling, protocol)] = frozen_route_goodput(
-                scenario, protocol, HIGH_RATES_KBPS, scheduling, duration=100.0
+                scenario,
+                protocol,
+                HIGH_RATES_KBPS,
+                scheduling,
+                duration=100.0,
+                routes=routes[protocol],
             )
     return points
 

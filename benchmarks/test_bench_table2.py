@@ -7,10 +7,10 @@ delivery and goodput (0.923, 930 bit/J) because active nodes dominate
 discovery and sleeping nodes opt out.
 """
 
-from repro.experiments.runner import run_many
+from repro.experiments.runner import sweep
 from repro.experiments.scenarios import density_network
 
-from conftest import print_table, run_once
+from conftest import BENCH_JOBS, print_table, run_once
 
 PROTOCOLS = ("DSR-ODPM-PC", "TITAN-PC")
 
@@ -20,10 +20,14 @@ def test_bench_table2_density(benchmark):
         results = {}
         for node_count in (300, 400):
             scenario = density_network(node_count, scale="bench")
+            grid = sweep(
+                scenario,
+                protocols=PROTOCOLS,
+                rates_kbps=(4.0,),
+                jobs=BENCH_JOBS,
+            )
             for protocol in PROTOCOLS:
-                results[(node_count, protocol)] = run_many(
-                    scenario, protocol, 4.0
-                )
+                results[(node_count, protocol)] = grid[(protocol, 4.0)]
         return results
 
     results = run_once(benchmark, run)

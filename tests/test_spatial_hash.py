@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.energy_model import NodeEnergy
 from repro.core.radio import CABLETRON, MICA2
+from repro.experiments import scenarios
 from repro.metrics.collectors import RunResult
 from repro.metrics.stats import StreamingLatencies, percentile
 from repro.net.topology import Placement
@@ -104,6 +105,46 @@ def _links(geometry: ChannelGeometry) -> set[tuple[int, int]]:
         for node_id in geometry.order
         for other in geometry.ids[node_id]
     }
+
+
+def _register(
+    positions: dict[int, tuple[float, float]],
+    registered: list[int],
+    max_range: float = RANGE,
+) -> Channel:
+    """A channel over ``positions`` with PHYs for ``registered`` only, in
+    that order, frozen (the table-by-table path of :meth:`Channel.freeze`)."""
+    sim = Simulator(seed=1)
+    channel = Channel(sim, positions, max_range)
+    for node_id in registered:
+        Phy(sim, channel, node_id, CABLETRON, NodeEnergy(card=CABLETRON))
+    channel.freeze()
+    return channel
+
+
+def _direct_table(
+    positions: dict[int, tuple[float, float]],
+    registered: list[int],
+    node_id: int,
+    max_range: float = RANGE,
+):
+    """``(dists, ids)`` of ``node_id``'s table by a scan of every
+    registered node: dists by ``(distance, registration rank)``, ids in
+    registration order."""
+    x1, y1 = positions[node_id]
+    entries = []
+    for rank, other in enumerate(registered):
+        if other == node_id:
+            continue
+        x2, y2 = positions[other]
+        dist = math.hypot(x1 - x2, y1 - y2)
+        if dist <= max_range:
+            entries.append((dist, rank, other))
+    entries.sort()
+    return (
+        [dist for dist, _, _ in entries],
+        [other for _, _, other in sorted(entries, key=lambda e: e[1])],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +299,33 @@ class TestGeometryEquivalence:
         grid = ChannelGeometry.from_positions(positions, reach, method="grid")
         _assert_same_geometry(brute, grid)
 
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            "small_network",
+            "large_network",
+            "density_network-300",
+            "density_network-400",
+            "grid_network",
+            "large_grid-256",
+        ],
+    )
+    def test_preset_placements_identical(self, preset):
+        """The placements the experiments actually freeze: the paper's
+        fields and grid, and a sensor lattice spaced inside the Mica2
+        range (exact-distance ties on every row)."""
+        name, _, count = preset.partition("-")
+        factory = getattr(scenarios, name)
+        scenario = factory(int(count)) if count else factory()
+        positions = scenario.placement(1).positions
+        reach = scenario.card.max_range
+        brute = ChannelGeometry.from_positions(
+            positions, reach, method="bruteforce"
+        )
+        grid = ChannelGeometry.from_positions(positions, reach)
+        _assert_same_geometry(brute, grid)
+        assert any(grid.ids.values())
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="candidate method"):
             ChannelGeometry.from_positions({0: (0.0, 0.0)}, RANGE, method="kd")
@@ -408,6 +476,98 @@ class TestIndexedMobilityRepair:
             for node_id, (x, y) in positions.items():
                 if math.hypot(x - probe[0], y - probe[1]) <= RANGE:
                     assert node_id in near
+
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
+    def test_adversarial_moves_match_fresh_freeze(self, name):
+        """Moves onto other nodes, onto cell corners and exactly one range
+        away repair to a fresh brute-force freeze, links counted."""
+        positions = ADVERSARIAL_SETS[name]()
+        ids = list(positions)
+        channel = _build_channel(dict(positions))
+        live = dict(positions)
+        links = _links(
+            ChannelGeometry.from_positions(live, RANGE, method="bruteforce")
+        )
+        changed = 0
+        rng = random.Random("adversarial-moves/" + name)
+        for step in range(40):
+            mover = rng.choice(ids)
+            anchor = live[rng.choice(ids)]
+            kind = step % 4
+            if kind == 0:
+                target = anchor  # coincident with another node
+            elif kind == 1:
+                target = (rng.randint(-3, 3) * RANGE, rng.randint(-3, 3) * RANGE)
+            elif kind == 2:
+                target = (anchor[0] + RANGE, anchor[1])  # exactly at range
+            else:
+                target = (anchor[0], anchor[1] - RANGE * (1 + 1e-12))
+            live[mover] = target
+            channel.update_position(mover, target)
+            fresh = ChannelGeometry.from_positions(
+                live, RANGE, method="bruteforce"
+            )
+            for node_id in ids:
+                assert _table_snapshot(channel, node_id) == _geometry_snapshot(
+                    fresh, node_id
+                ), (step, mover, node_id)
+            fresh_links = _links(fresh)
+            changed += len(links ^ fresh_links)
+            links = fresh_links
+            assert channel.link_changes == changed, step
+
+
+class TestRegistrationOrderFreeze:
+    """When the registered PHYs are not the placement in placement order,
+    :meth:`Channel.freeze` builds each table through the bucket index
+    instead of a geometry; the tables must equal a scan of every
+    registered node."""
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
+    def test_subset_freeze_matches_direct_scan(self, name):
+        positions = ADVERSARIAL_SETS[name]()
+        registered = list(positions)[::-2]  # every other node, reversed
+        channel = _register(positions, registered)
+        for node_id in positions:
+            table = channel._tables[node_id]
+            assert (table.dists, table.ids) == _direct_table(
+                positions, registered, node_id
+            ), node_id
+
+    def test_permuted_full_registration_matches_direct_scan(self):
+        """Every node registered, but not in placement order."""
+        positions = _negative_coordinates()
+        registered = list(positions)
+        random.Random(29).shuffle(registered)
+        channel = _register(positions, registered)
+        assert channel.geometry_mismatches == 0
+        for node_id in positions:
+            table = channel._tables[node_id]
+            assert (table.dists, table.ids) == _direct_table(
+                positions, registered, node_id
+            ), node_id
+
+    def test_moves_with_unregistered_nodes_match_direct_scan(self):
+        """Moving registered and unregistered nodes keeps every table
+        (unregistered nodes' included) equal to a direct scan."""
+        rng = random.Random(31)
+        positions = {
+            i: (rng.uniform(0, 800), rng.uniform(0, 800)) for i in range(40)
+        }
+        registered = [i for i in positions if i % 3]
+        channel = _register(dict(positions), registered)
+        live = dict(positions)
+        for _ in range(120):
+            mover = rng.randrange(40)
+            target = (rng.uniform(0, 800), rng.uniform(0, 800))
+            live[mover] = target
+            channel.update_position(mover, target)
+            for node_id in live:
+                table = channel._tables[node_id]
+                assert (table.dists, table.ids) == _direct_table(
+                    live, registered, node_id
+                ), (mover, node_id)
 
 
 # ----------------------------------------------------------------------
