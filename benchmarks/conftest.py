@@ -12,11 +12,28 @@ from __future__ import annotations
 import os
 from typing import Callable, Mapping, Sequence
 
+import pytest
+
 #: Worker processes for the figure sweeps.  Every sweep is byte-identical
 #: at any ``jobs`` (serial == parallel, pinned by the determinism tests),
 #: so this sets only the wall-clock; the cap keeps a many-core host from
 #: forking a worker per cell.
 BENCH_JOBS = min(4, os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="session")
+def bench_store(tmp_path_factory):
+    """One result store shared by the figure sweeps of a session.
+
+    Figs. 8-9, 10 and 11-12 sweep overlapping cells of the same bench
+    scenarios (Fig. 10's TITAN-PC and DSR-ODPM rows in both fields); a
+    cell one bench simulated is read back by the next instead of run
+    again.  A cached result equals a fresh one byte for byte (the
+    determinism contract), so every figure and assertion is unchanged.
+    """
+    from repro.experiments.store import ResultStore
+
+    return ResultStore(tmp_path_factory.mktemp("bench-store"))
 
 
 def print_table(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

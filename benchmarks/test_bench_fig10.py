@@ -17,7 +17,7 @@ PROTOCOLS = ("TITAN-PC", "DSR-ODPM")
 RATES = (2.0, 4.0, 6.0)
 
 
-def test_bench_fig10_transmit_energy(benchmark):
+def test_bench_fig10_transmit_energy(benchmark, bench_store):
     def run():
         small = small_network(scale="bench")
         large = large_network(scale="bench")
@@ -28,6 +28,7 @@ def test_bench_fig10_transmit_energy(benchmark):
                 protocols=PROTOCOLS,
                 rates_kbps=RATES,
                 jobs=BENCH_JOBS,
+                store=bench_store,
             )
             for (protocol, rate), aggregate in grid.items():
                 results[(label, protocol, rate)] = aggregate

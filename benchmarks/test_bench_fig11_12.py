@@ -26,10 +26,14 @@ RATES = (2.0, 4.0, 6.0)
 
 
 @pytest.fixture(scope="module")
-def large_grid():
+def large_grid(bench_store):
     scenario = large_network(scale="bench")
     return sweep(
-        scenario, protocols=PROTOCOLS, rates_kbps=RATES, jobs=BENCH_JOBS
+        scenario,
+        protocols=PROTOCOLS,
+        rates_kbps=RATES,
+        jobs=BENCH_JOBS,
+        store=bench_store,
     )
 
 

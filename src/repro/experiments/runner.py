@@ -30,6 +30,7 @@ sweep's store renders into a standalone HTML campaign report via
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -54,16 +55,39 @@ def run_single(
     from repro.experiments.resilience import maybe_inject_fault
 
     maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
-    config = scenario.config(protocol, rate_kbps, seed)
-    return _run_closed(WirelessNetwork(config))
+    return _run_cell(scenario, protocol, rate_kbps, seed)
 
 
-def _run_closed(network: WirelessNetwork) -> RunResult:
-    """Run ``network``, then close it so reference counting frees it."""
+def _run_cell(
+    scenario: Scenario,
+    protocol: str,
+    rate_kbps: float,
+    seed: int,
+    placement=None,
+    geometry=None,
+) -> RunResult:
+    """Build, run and close one cell with the cyclic collector paused.
+
+    :meth:`WirelessNetwork.close` breaks every reference cycle of a
+    finished network, so reference counting frees it and a cell leaves
+    no cyclic garbage (``tests/test_teardown.py``).  Automatic passes
+    during the cell would only walk the live network that assembly just
+    allocated; should a cell ever leave cycles, the first pass after it
+    collects them.  The caller's ``gc.isenabled()`` setting is restored
+    on every exit, exceptions included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return network.run()
+        config = scenario.config(protocol, rate_kbps, seed, placement=placement)
+        network = WirelessNetwork(config, geometry=geometry)
+        try:
+            return network.run()
+        finally:
+            network.close()
     finally:
-        network.close()
+        if enabled:
+            gc.enable()
 
 
 def shared_setup(
@@ -114,10 +138,9 @@ def _run_seed(
 
     try:
         maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
-        config = scenario.config(
-            protocol, rate_kbps, seed, placement=placement
+        return _run_cell(
+            scenario, protocol, rate_kbps, seed, placement, geometry
         )
-        return _run_closed(WirelessNetwork(config, geometry=geometry))
     except Exception as exc:
         cell = GridCell(protocol, float(rate_kbps), int(seed))
         raise GridCellError.from_exception(cell, exc) from exc

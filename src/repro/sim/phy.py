@@ -24,11 +24,13 @@ the most-called code in a run.  The class is slotted and radio states are
 compared against module-level aliases.  ``rx_start`` and ``rx_end`` charge
 the period that ends inline: they know the state they leave (idle, or
 receive classified by the first frame in flight), so they call the one
-``NodeEnergy.charge_*`` method directly.  The rarer state changes (sleep,
-wake, transmit, end of transmission, finalize, failure) go through
-``_charge_elapsed`` and its per-state dispatch table built once in
-``__init__``.  Either way the ledger sees exactly one charge call per state
-change, with the same elapsed time at the same moment.
+``NodeEnergy.charge_*`` method directly.  ``sleep`` and ``wake``, which
+every power-save node calls once per beacon interval, do the same for the
+sleep and idle periods they end.  The rarer state changes (transmit, end
+of transmission, finalize, failure) go through ``_charge_elapsed`` and its
+per-state dispatch table built once in ``__init__``.  Either way the
+ledger sees exactly one charge call per state change, with the same
+elapsed time at the same moment.
 """
 
 from __future__ import annotations
@@ -226,26 +228,44 @@ class Phy:
     # ------------------------------------------------------------------
     def sleep(self) -> None:
         """Put the radio to sleep.  Any in-flight receptions are lost."""
-        if self._state is _SLEEP:
+        state = self._state
+        if state is _SLEEP:
             return
-        if self._state is _TRANSMIT:
+        if state is _TRANSMIT:
             raise RuntimeError("cannot sleep while transmitting")
-        for packet in self._rx_packets:
-            self._rx_missed.add(packet.uid)
-        self._rx_packets.clear()
-        self._set_state(_SLEEP)
+        rx_packets = self._rx_packets
+        if rx_packets:
+            missed = self._rx_missed
+            for packet in rx_packets:
+                missed.add(packet.uid)
+            rx_packets.clear()
+        now = self.sim.now
+        elapsed = now - self._state_since
+        self._state_since = now
+        if elapsed > 0:
+            if state is _IDLE:
+                self.energy.charge_idle(elapsed)
+            else:
+                # The frames in flight were dropped above, so a receive
+                # period books as control_rx whatever frame started it.
+                self._charge_receive(elapsed)
+        self._state = _SLEEP
 
     def wake(self) -> None:
         """Wake the radio into idle state, charging the switching cost.
 
         Failed radios never wake.
         """
-        if self.failed:
+        if self.failed or self._state is not _SLEEP:
             return
-        if self._state is not _SLEEP:
-            return
-        self._set_state(_IDLE)
-        self.energy.charge_switch()
+        energy = self.energy
+        now = self.sim.now
+        elapsed = now - self._state_since
+        self._state_since = now
+        if elapsed > 0:
+            energy.charge_sleep(elapsed)
+        self._state = _IDLE
+        energy.charge_switch()
 
     def fail(self, stop_energy: bool = False) -> None:
         """Permanently kill this radio (crash / battery-death injection).

@@ -37,6 +37,9 @@ from repro.sim.phy import Phy
 BEACON_INTERVAL = 0.3
 ATIM_WINDOW = 0.02
 
+_IDLE = RadioState.IDLE
+_POWER_SAVE = PowerMode.POWER_SAVE
+
 
 @dataclass(slots=True)
 class _Member:
@@ -177,7 +180,8 @@ class PsmScheduler:
             return
         if member.expected_broadcasts > 0:
             member.expected_broadcasts -= 1
-            self._maybe_sleep(member)
+            if not self._in_atim:
+                self._doze((member,))
 
     # ------------------------------------------------------------------
     # Beacon cycle
@@ -188,7 +192,7 @@ class PsmScheduler:
         for member in self._members.values():
             member.awake_this_interval = False
             member.expected_broadcasts = 0
-            if member.mode() is PowerMode.POWER_SAVE:
+            if member.mode() is _POWER_SAVE:
                 member.phy.wake()
         self._announce()
         self.sim.schedule(self.atim_window, self._end_of_atim, priority=-1)
@@ -245,29 +249,35 @@ class PsmScheduler:
     def _end_of_atim(self) -> None:
         self._in_atim = False
         # Sleep decisions first, so that a kicked MAC's broadcast_clear oracle
-        # sees the final awake/asleep picture for this interval.
-        for member in self._members.values():
-            self._maybe_sleep(member)
-        for member in self._members.values():
-            mac = member.mac
-            if mac.has_pending():  # a kick finds nothing to send otherwise
-                mac.kick()
+        # sees the final awake/asleep picture for this interval.  Only MACs
+        # with pending frames are kicked: a kick finds nothing to send
+        # otherwise.
+        for mac in self._doze(self._members.values()):
+            mac.kick()
 
-    def _maybe_sleep(self, member: _Member) -> None:
-        """Put a PSM node to sleep when nothing keeps it awake."""
-        if self._in_atim:
-            return
-        if member.mode() is PowerMode.ACTIVE:
-            return
-        if member.awake_this_interval or member.expected_broadcasts > 0:
-            return
-        if member.mac.has_pending():
-            # Buffered traffic of our own: stay up so it can be announced /
-            # transmitted as soon as the destination is available.
-            return
-        if member.phy.state is not RadioState.IDLE:
-            return
-        member.phy.sleep()
+    @staticmethod
+    def _doze(members) -> list[Mac]:
+        """Put each member to sleep that nothing keeps awake.
+
+        The one sleep rule, applied outside the ATIM window: a PSM node
+        sleeps unless it was announced traffic, still expects an advertised
+        broadcast, has buffered frames of its own (it stays up so they can
+        be announced and sent as soon as the destination is available) or
+        its radio is not idle.  The cheap checks come before the mode
+        oracle.  Returns the MACs with pending frames, in member order.
+        """
+        pending = []
+        for member in members:
+            mac = member.mac
+            if mac.has_pending():
+                pending.append(mac)
+                continue
+            if member.awake_this_interval or member.expected_broadcasts > 0:
+                continue
+            phy = member.phy
+            if phy.state is _IDLE and member.mode() is _POWER_SAVE:
+                phy.sleep()
+        return pending
 
 
 class NoPsm:

@@ -210,6 +210,14 @@ class _RecordingEnergy(NodeEnergy):
         self.calls.append(("data_rx", duration))
         return super().charge_data_rx(duration)
 
+    def charge_sleep(self, duration):
+        self.calls.append(("sleep", duration))
+        return super().charge_sleep(duration)
+
+    def charge_switch(self, transitions=1):
+        self.calls.append(("switch", transitions))
+        return super().charge_switch(transitions)
+
 
 class TestReceiveEnergyClassification:
     """A receive period is charged by the frame that started it.
@@ -276,6 +284,65 @@ class TestReceiveEnergyClassification:
         period = sum(duration for name, duration in energy.calls[1:3])
         assert period == pytest.approx(self._airtime(data))
         assert energy.control_rx == 0.0
+
+
+class TestSleepWakeCharges:
+    """``sleep`` and ``wake`` charge the period they end, once each.
+
+    Node 0 sends to node 1; node 1's ledger records every charge call.
+    """
+
+    def _pair(self):
+        from repro.sim.phy import Phy
+
+        sim = Simulator()
+        positions = {0: (0, 0), 1: (100, 0)}
+        channel = Channel(sim, positions, max_range=250.0)
+        energy = _RecordingEnergy(CABLETRON)
+        sender = Phy(sim, channel, 0, CABLETRON, NodeEnergy(card=CABLETRON))
+        listener = Phy(sim, channel, 1, CABLETRON, energy)
+        return sim, sender, listener, energy
+
+    def test_sleep_from_idle_charges_idle(self):
+        sim, _, listener, energy = self._pair()
+        sim.schedule(0.5, listener.sleep)
+        sim.run(until=1.0)
+        assert energy.calls == [("idle", 0.5)]
+        assert listener.asleep
+
+    def test_wake_charges_sleep_then_switch(self):
+        sim, _, listener, energy = self._pair()
+        sim.schedule(0.5, listener.sleep)
+        sim.schedule(1.25, listener.wake)
+        sim.run(until=2.0)
+        assert energy.calls == [("idle", 0.5), ("sleep", 0.75), ("switch", 1)]
+        assert listener.state is RadioState.IDLE
+
+    def test_zero_length_periods_charge_only_the_switch(self):
+        sim, _, listener, energy = self._pair()
+        listener.sleep()
+        listener.wake()
+        listener.wake()  # already awake: no charge
+        assert energy.calls == [("switch", 1)]
+
+    @pytest.mark.parametrize("stop", ["sleep", "fail"])
+    def test_stop_mid_data_reception_books_control_rx(self, stop):
+        """Pins today's classification: ``sleep()`` and ``fail()`` drop the
+        frames in flight before they charge the receive period, so a
+        period that a DATA frame started books as ``control_rx``."""
+        sim, sender, listener, energy = self._pair()
+        frame = make_data_packet(origin=0, final_dst=1, src=0, dst=1,
+                                 payload_bytes=512)
+        airtime = frame.size_bits / CABLETRON.bandwidth
+        sim.schedule(1.0, lambda: sender.transmit(frame))
+        sim.schedule(1.0 + airtime / 2, getattr(listener, stop))
+        sim.run(until=2.0)
+        names = [name for name, _ in energy.calls]
+        assert names == ["idle", "control_rx"]
+        assert energy.calls[0][1] == pytest.approx(1.0)
+        assert energy.calls[1][1] == pytest.approx(airtime / 2)
+        assert energy.data_rx == 0.0
+        assert listener.frames_received == 0
 
 
 class TestReceiveStateInvariant:

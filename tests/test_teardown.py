@@ -4,7 +4,9 @@ A wired network is full of reference cycles (radio, MAC, node and routing
 point at each other, armed timers at their owners, the channel at its
 PHYs, the PSM scheduler at its members).  :meth:`WirelessNetwork.close`
 breaks them, and the runners call it after every cell, so a sweep leaves
-nothing for the cyclic collector.  Per-node ``mac-<id>`` and
+nothing for the cyclic collector.  That is what lets the runners build,
+run and close each cell with the automatic collector paused, restoring
+the caller's setting afterwards.  Per-node ``mac-<id>`` and
 ``routing-<id>`` random streams are created at their first draw.
 """
 
@@ -14,6 +16,7 @@ import pytest
 
 from repro.core.radio import CABLETRON
 from repro.experiments import runner
+from repro.experiments.parallel import GridCellError
 from repro.experiments.scenarios import (
     bursty_small,
     churn_grid,
@@ -23,7 +26,7 @@ from repro.experiments.scenarios import (
 )
 from repro.net.topology import Placement
 from repro.sim.channel_models import ChannelSpec
-from repro.sim.network import NetworkConfig, WirelessNetwork
+from repro.sim.network import PROTOCOLS, NetworkConfig, WirelessNetwork
 from repro.traffic.flows import FlowSpec
 
 CELLS = [
@@ -35,6 +38,14 @@ CELLS = [
         small_network, None, "DSDVH-ODPM(0.6,1.2)-Span", id="DSDVH-Span"
     ),
     pytest.param(small_network, None, "DSR-Span", id="DSR-Span"),
+    pytest.param(small_network, None, "DSDV-ODPM", id="DSDV-ODPM"),
+    pytest.param(small_network, None, "DSR-ODPM-PC", id="DSR-ODPM-PC"),
+    pytest.param(
+        small_network, None, "DSRH-ODPM(norate)", id="DSRH-ODPM(norate)"
+    ),
+    pytest.param(small_network, None, "DSRH-ODPM(rate)", id="DSRH-ODPM(rate)"),
+    pytest.param(small_network, None, "MTPR-ODPM", id="MTPR-ODPM"),
+    pytest.param(small_network, None, "MTPR+-ODPM", id="MTPR+-ODPM"),
     pytest.param(mobile_small, None, "DSR-ODPM", id="mobile_small"),
     pytest.param(churn_grid, None, "DSR-ODPM", id="churn_grid"),
     pytest.param(lossy_small, None, "TITAN-PC", id="lossy_small"),
@@ -46,6 +57,16 @@ CELLS = [
     ),
     pytest.param(bursty_small, None, "DSR-ODPM", id="bursty_small"),
 ]
+
+
+#: The built-in presets, read at collection time: a test that runs the
+#: custom-protocol example registers one more for the rest of the session.
+BUILTIN_PROTOCOLS = frozenset(PROTOCOLS)
+
+
+def test_cells_cover_every_protocol():
+    covered = {param.values[2] for param in CELLS}
+    assert covered == BUILTIN_PROTOCOLS
 
 
 @pytest.mark.parametrize("preset, channel, protocol", CELLS)
@@ -117,3 +138,85 @@ def test_closed_network_keeps_its_counters():
     assert network.control_packet_count() == result.control_packets == 0
     assert network.relays_used() == 0
     assert network.psm.beacons > 0
+
+
+#: ``(run the cells, how many cells)`` for each runner entry point.
+RUNNERS = [
+    pytest.param(
+        lambda scenario: runner.run_single(scenario, "DSR-ODPM", 4.0, 1),
+        1,
+        id="run_single",
+    ),
+    pytest.param(
+        lambda scenario: runner.run_batch(scenario, "DSR-ODPM", 4.0, (1, 2)),
+        2,
+        id="run_batch",
+    ),
+]
+COLLECTOR = pytest.mark.parametrize(
+    "enabled", [True, False], ids=["gc-enabled", "gc-disabled"]
+)
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def restore_collector():
+    """Hand the collector back as the test found it, whatever happens."""
+    enabled = gc.isenabled()
+    yield
+    _set_collector(enabled)
+
+
+@COLLECTOR
+@pytest.mark.parametrize("run_cells, cells", RUNNERS)
+def test_runners_pause_the_collector_for_the_whole_cell(
+    monkeypatch, restore_collector, run_cells, cells, enabled
+):
+    """Assembly, run and close all see the collector off; the caller's
+    setting comes back afterwards."""
+    seen = []
+
+    def recording(phase, method):
+        def wrapper(network, *args, **kwargs):
+            seen.append((phase, gc.isenabled()))
+            return method(network, *args, **kwargs)
+
+        return wrapper
+
+    for phase in ("__init__", "run", "close"):
+        monkeypatch.setattr(
+            WirelessNetwork,
+            phase,
+            recording(phase, getattr(WirelessNetwork, phase)),
+        )
+    scenario = small_network(scale="smoke")
+    _set_collector(enabled)
+    run_cells(scenario)
+    assert gc.isenabled() is enabled
+    assert seen == [("__init__", False), ("run", False), ("close", False)] * cells
+
+
+@COLLECTOR
+@pytest.mark.parametrize("phase", ["__init__", "run"])
+@pytest.mark.parametrize("run_cells, cells", RUNNERS)
+def test_runners_restore_the_collector_after_a_failing_cell(
+    monkeypatch, restore_collector, run_cells, cells, phase, enabled
+):
+    """A cell that raises in assembly or in ``run()`` still hands the
+    collector back as it found it."""
+
+    def fail(network, *args, **kwargs):
+        raise RuntimeError("injected %s failure" % phase)
+
+    monkeypatch.setattr(WirelessNetwork, phase, fail)
+    scenario = small_network(scale="smoke")
+    _set_collector(enabled)
+    with pytest.raises((RuntimeError, GridCellError), match="injected"):
+        run_cells(scenario)
+    assert gc.isenabled() is enabled
