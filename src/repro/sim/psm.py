@@ -26,7 +26,7 @@ sleeps early misses traffic that arrives later in the interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.radio import PowerMode, RadioState
 from repro.sim.engine import Simulator
@@ -256,7 +256,7 @@ class PsmScheduler:
             mac.kick()
 
     @staticmethod
-    def _doze(members) -> list[Mac]:
+    def _doze(members: Iterable[_Member]) -> list[Mac]:
         """Put each member to sleep that nothing keeps awake.
 
         The one sleep rule, applied outside the ATIM window: a PSM node
