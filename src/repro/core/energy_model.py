@@ -19,9 +19,15 @@ rates is computed from routes frozen at a low rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.radio import RadioModel, RadioState
+
+_TRANSMIT = RadioState.TRANSMIT
+_RECEIVE = RadioState.RECEIVE
+_IDLE = RadioState.IDLE
+_SLEEP = RadioState.SLEEP
 
 
 @dataclass(slots=True)
@@ -34,8 +40,9 @@ class NodeEnergy:
 
     The ``charge_*`` methods are the single hottest call family in a run
     (one call per radio state change, millions per simulated network
-    lifetime), so the class is slotted and the duration guard is inlined
-    rather than delegated.
+    lifetime), so the class is slotted, the duration guard is inlined
+    rather than delegated, and each charge adds its duration to one plain
+    float field.
     """
 
     card: RadioModel
@@ -46,12 +53,12 @@ class NodeEnergy:
     idle: float = 0.0
     sleep: float = 0.0
     switch: float = 0.0
-    #: Occupancy time per radio state, for conservation checks.
-    #: (``.copy`` of a module-level template: building the dict from the
-    #: enum per node was measurable at dense-network assembly time.)
-    state_time: dict[RadioState, float] = field(
-        default_factory={state: 0.0 for state in RadioState}.copy
-    )
+    #: Occupancy time per radio state, for conservation checks (read them
+    #: together through :attr:`state_time`).
+    transmit_time: float = 0.0
+    receive_time: float = 0.0
+    idle_time: float = 0.0
+    sleep_time: float = 0.0
 
     # ------------------------------------------------------------------
     # Charging
@@ -64,9 +71,9 @@ class NodeEnergy:
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        energy = duration * self.card.power(RadioState.TRANSMIT, distance)
+        energy = duration * self.card.power(_TRANSMIT, distance)
         self.data_tx += energy
-        self.state_time[RadioState.TRANSMIT] += duration
+        self.transmit_time += duration
         return energy
 
     def charge_data_rx(self, duration: float) -> float:
@@ -75,7 +82,7 @@ class NodeEnergy:
             raise ValueError("duration must be non-negative")
         energy = duration * self.card.p_rx
         self.data_rx += energy
-        self.state_time[RadioState.RECEIVE] += duration
+        self.receive_time += duration
         return energy
 
     def charge_control_tx(self, duration: float, track_time: bool = True) -> float:
@@ -90,7 +97,7 @@ class NodeEnergy:
         energy = duration * self.card.p_tx_max
         self.control_tx += energy
         if track_time:
-            self.state_time[RadioState.TRANSMIT] += duration
+            self.transmit_time += duration
         return energy
 
     def charge_control_rx(self, duration: float, track_time: bool = True) -> float:
@@ -100,7 +107,7 @@ class NodeEnergy:
         energy = duration * self.card.p_rx
         self.control_rx += energy
         if track_time:
-            self.state_time[RadioState.RECEIVE] += duration
+            self.receive_time += duration
         return energy
 
     def charge_idle(self, duration: float) -> float:
@@ -109,7 +116,7 @@ class NodeEnergy:
             raise ValueError("duration must be non-negative")
         energy = duration * self.card.p_idle
         self.idle += energy
-        self.state_time[RadioState.IDLE] += duration
+        self.idle_time += duration
         return energy
 
     def charge_sleep(self, duration: float) -> float:
@@ -118,7 +125,7 @@ class NodeEnergy:
             raise ValueError("duration must be non-negative")
         energy = duration * self.card.p_sleep
         self.sleep += energy
-        self.state_time[RadioState.SLEEP] += duration
+        self.sleep_time += duration
         return energy
 
     def charge_switch(self, transitions: int = 1) -> float:
@@ -161,6 +168,22 @@ class NodeEnergy:
     def transmit_energy(self) -> float:
         """All transmit-state energy (data plus control), as plotted in Fig. 10."""
         return self.data_tx + self.control_tx
+
+    @property
+    def state_time(self) -> Mapping[RadioState, float]:
+        """Occupancy time per radio state, in :class:`RadioState` order.
+
+        A read-only snapshot of the four ``*_time`` fields: writers add to
+        the fields, and item assignment here raises ``TypeError``.
+        """
+        return MappingProxyType(
+            {
+                _TRANSMIT: self.transmit_time,
+                _RECEIVE: self.receive_time,
+                _IDLE: self.idle_time,
+                _SLEEP: self.sleep_time,
+            }
+        )
 
     @property
     def busy_time(self) -> float:

@@ -38,13 +38,18 @@ from functools import cached_property
 class RadioState(Enum):
     """Operating modes of a wireless interface (Section 2.1).
 
-    Members hash by identity (``object.__hash__``): the per-state energy
-    ledgers key dicts by state on the simulation hot path, and the default
-    ``Enum.__hash__`` (a Python-level hash of the member name) dominates
-    those lookups.  Identity hashing is safe because enum members are
-    singletons compared by identity; nothing in this codebase iterates a
-    *set* of members (dict iteration order is insertion order and stays
+    Members hash by identity (``object.__hash__``): the PHY's charge
+    dispatch keys a dict by state on the simulation hot path, and the
+    default ``Enum.__hash__`` (a Python-level hash of the member name)
+    dominates those lookups.  Identity hashing is safe because enum members
+    are singletons compared by identity; nothing in this codebase iterates
+    a *set* of members (dict iteration order is insertion order and stays
     deterministic).
+
+    Simulator code reads members through module constants (``_IDLE =
+    RadioState.IDLE``), never as ``RadioState.IDLE`` inside a function
+    body: on CPython 3.11 every such read goes through
+    ``EnumType.__getattr__``.
     """
 
     __hash__ = object.__hash__
@@ -70,6 +75,11 @@ class PowerMode(Enum):
     ACTIVE = "AM"
     POWER_SAVE = "PSM"
 
+
+_TRANSMIT = RadioState.TRANSMIT
+_RECEIVE = RadioState.RECEIVE
+_IDLE = RadioState.IDLE
+_SLEEP = RadioState.SLEEP
 
 _MW = 1e-3  # milliwatts to watts
 
@@ -168,15 +178,15 @@ class RadioModel:
         omitted, the maximum-range transmit power is used, matching the
         paper's assumption that control packets go out at maximum power.
         """
-        if state is RadioState.TRANSMIT:
+        if state is _TRANSMIT:
             if distance is None:
                 return self.p_tx_max
             return self.transmit_power(distance)
-        if state is RadioState.RECEIVE:
+        if state is _RECEIVE:
             return self.p_rx
-        if state is RadioState.IDLE:
+        if state is _IDLE:
             return self.p_idle
-        if state is RadioState.SLEEP:
+        if state is _SLEEP:
             return self.p_sleep
         raise ValueError("unknown radio state %r" % state)
 

@@ -447,7 +447,6 @@ def _always_active_energy(
 ):
     """E_network when no node ever sleeps (the DSR-Active baseline)."""
     from repro.core.energy_model import NetworkEnergy
-    from repro.core.radio import RadioState
 
     base = evaluator.evaluate(flow_routes, duration, scheduling="odpm")
     network = NetworkEnergy()
@@ -457,14 +456,7 @@ def _always_active_energy(
         target = network[node_id]
         target.data_tx = ledger.data_tx
         target.data_rx = ledger.data_rx
-        target.state_time[RadioState.TRANSMIT] = ledger.state_time[
-            RadioState.TRANSMIT
-        ]
-        target.state_time[RadioState.RECEIVE] = ledger.state_time[
-            RadioState.RECEIVE
-        ]
-        passive = (
-            ledger.state_time[RadioState.IDLE] + ledger.state_time[RadioState.SLEEP]
-        )
-        target.charge_idle(passive)
+        target.transmit_time = ledger.transmit_time
+        target.receive_time = ledger.receive_time
+        target.charge_idle(ledger.idle_time + ledger.sleep_time)
     return network

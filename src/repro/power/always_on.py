@@ -11,6 +11,9 @@ from __future__ import annotations
 from repro.core.radio import PowerMode
 from repro.power.manager import PowerManager
 
+_ACTIVE = PowerMode.ACTIVE
+_POWER_SAVE = PowerMode.POWER_SAVE
+
 
 class AlwaysActive(PowerManager):
     """Every node stays in active mode forever (no idling savings).
@@ -22,7 +25,7 @@ class AlwaysActive(PowerManager):
     """
 
     def initial_mode(self) -> PowerMode:
-        return PowerMode.ACTIVE
+        return _ACTIVE
 
 
 class AlwaysPsm(PowerManager):
@@ -34,4 +37,4 @@ class AlwaysPsm(PowerManager):
     """
 
     def initial_mode(self) -> PowerMode:
-        return PowerMode.POWER_SAVE
+        return _POWER_SAVE

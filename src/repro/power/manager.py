@@ -16,6 +16,8 @@ from typing import Callable
 from repro.core.radio import PowerMode
 from repro.sim.engine import Simulator
 
+_ACTIVE = PowerMode.ACTIVE
+
 
 class PowerManager:
     """Decides a single node's AM/PSM membership (§2.2).
@@ -38,7 +40,7 @@ class PowerManager:
 
     def initial_mode(self) -> PowerMode:
         """Mode at simulation start; PSM for managers that conserve by default."""
-        return PowerMode.ACTIVE
+        return _ACTIVE
 
     @property
     def mode(self) -> PowerMode:

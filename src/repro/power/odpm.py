@@ -16,6 +16,9 @@ from repro.core.radio import PowerMode
 from repro.power.manager import PowerManager
 from repro.sim.engine import Simulator, Timer
 
+_ACTIVE = PowerMode.ACTIVE
+_POWER_SAVE = PowerMode.POWER_SAVE
+
 
 @dataclass(frozen=True)
 class OdpmConfig:
@@ -65,7 +68,7 @@ class Odpm(PowerManager):
         self._keepalive = Timer(sim, self._expire)
 
     def initial_mode(self) -> PowerMode:
-        return PowerMode.POWER_SAVE
+        return _POWER_SAVE
 
     # ------------------------------------------------------------------
     def notify_data_activity(self) -> None:
@@ -78,7 +81,7 @@ class Odpm(PowerManager):
         self._stay_active(self.config.keepalive_rrep)
 
     def _stay_active(self, keepalive: float) -> None:
-        self._switch(PowerMode.ACTIVE)
+        self._switch(_ACTIVE)
         self._keepalive.extend_to(keepalive)
 
     def close(self) -> None:
@@ -86,7 +89,7 @@ class Odpm(PowerManager):
         self._keepalive.close()
 
     def _expire(self) -> None:
-        self._switch(PowerMode.POWER_SAVE)
+        self._switch(_POWER_SAVE)
 
     @property
     def keepalive_expires_at(self) -> float | None:

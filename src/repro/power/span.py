@@ -34,6 +34,9 @@ CHECK_INTERVAL = 2.0
 #: A withdrawing coordinator lingers this long so routes can move off it.
 WITHDRAW_DELAY = 4.0
 
+_ACTIVE = PowerMode.ACTIVE
+_POWER_SAVE = PowerMode.POWER_SAVE
+
 
 class SpanCoordinator(PowerManager):
     """Topology-driven power management: coordinators stay awake ([9], §5.2.1).
@@ -55,7 +58,7 @@ class SpanCoordinator(PowerManager):
         self.withdrawals = 0
 
     def initial_mode(self) -> PowerMode:
-        return PowerMode.POWER_SAVE
+        return _POWER_SAVE
 
     # ------------------------------------------------------------------
     # Wiring (done by the Node/Network composition)
@@ -91,7 +94,7 @@ class SpanCoordinator(PowerManager):
         for via in channel.neighbors(u):
             if via == self.node_id or via == v:
                 continue
-            if self._mode_of(via) is not PowerMode.ACTIVE:
+            if self._mode_of(via) is not _ACTIVE:
                 continue
             if channel.distance(via, v) <= channel.max_range:
                 return True
@@ -110,18 +113,18 @@ class SpanCoordinator(PowerManager):
         if self._channel is None:
             return
         needed = self.coverage_needed()
-        if needed and self.mode is PowerMode.POWER_SAVE:
+        if needed and self.mode is _POWER_SAVE:
             self.elections += 1
             self._withdraw_at = None
-            self._switch(PowerMode.ACTIVE)
-        elif not needed and self.mode is PowerMode.ACTIVE:
+            self._switch(_ACTIVE)
+        elif not needed and self.mode is _ACTIVE:
             # Withdraw only after a linger period of sustained redundancy.
             if self._withdraw_at is None:
                 self._withdraw_at = self.sim.now + WITHDRAW_DELAY
             elif self.sim.now >= self._withdraw_at:
                 self.withdrawals += 1
                 self._withdraw_at = None
-                self._switch(PowerMode.POWER_SAVE)
+                self._switch(_POWER_SAVE)
         else:
             self._withdraw_at = None
         self.sim.schedule(

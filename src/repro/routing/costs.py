@@ -26,6 +26,8 @@ from typing import Protocol
 
 from repro.core.radio import PowerMode, RadioModel
 
+_POWER_SAVE = PowerMode.POWER_SAVE
+
 
 class LinkCost(Protocol):
     """Cost added when extending a route over the link ``u -> v``.
@@ -104,7 +106,7 @@ class JointCost:
             self.card.transmit_power(distance) + self.card.p_rx - 2.0 * self.card.p_idle
         )
         cost = max(0.0, communication) * utilization
-        if relay_mode is PowerMode.POWER_SAVE:
+        if relay_mode is _POWER_SAVE:
             cost += self.card.p_idle
         return cost
 

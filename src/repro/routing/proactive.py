@@ -48,6 +48,9 @@ UPDATE_BASE_BYTES = 28
 ROUTE_LIFETIME_INTERVALS = 3
 INFINITE_METRIC = math.inf
 
+_DATA = PacketKind.DATA
+_ROUTING = PacketKind.ROUTING
+
 
 class UpdateEntry(NamedTuple):
     """One advertised destination: metric and destination sequence number.
@@ -174,7 +177,7 @@ class ProactiveProtocol(RoutingProtocol):
             full_dump=full_dump,
         )
         frame = Packet(
-            kind=PacketKind.ROUTING,
+            kind=_ROUTING,
             src=self.node.node_id,
             dst=BROADCAST,
             size_bytes=update.size_bytes(),
@@ -209,7 +212,7 @@ class ProactiveProtocol(RoutingProtocol):
 
     def on_frame(self, packet: Packet) -> None:
         """Dispatch a delivered frame: data forwarding or update processing."""
-        if packet.kind is PacketKind.DATA:
+        if packet.kind is _DATA:
             self.node.power.notify_data_activity()
             if packet.final_dst == self.node.node_id:
                 self.stats.data_delivered += 1
@@ -218,9 +221,7 @@ class ProactiveProtocol(RoutingProtocol):
             self.stats.data_forwarded += 1
             self._forward(packet)
             return
-        if packet.kind is PacketKind.ROUTING and isinstance(
-            packet.payload, DsdvUpdate
-        ):
+        if packet.kind is _ROUTING and isinstance(packet.payload, DsdvUpdate):
             self._on_update(packet.payload)
 
     # ------------------------------------------------------------------
@@ -295,7 +296,7 @@ class ProactiveProtocol(RoutingProtocol):
                     self.sim.now,
                 )
                 changed = True
-        if packet.kind is PacketKind.DATA:
+        if packet.kind is _DATA:
             self.stats.data_dropped_link_failure += 1
         if changed:
             self._schedule_triggered_update()

@@ -48,6 +48,9 @@ DISCOVERY_TIMEOUT = 1.0
 DISCOVERY_BACKOFF = 2.0
 DISCOVERY_ATTEMPTS = 3
 
+_DATA = PacketKind.DATA
+_ROUTING = PacketKind.ROUTING
+
 
 @dataclass(frozen=True)
 class RouteRequest:
@@ -252,10 +255,10 @@ class ReactiveProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     def on_frame(self, packet: Packet) -> None:
         """Dispatch a delivered frame to the data or control handlers."""
-        if packet.kind is PacketKind.DATA:
+        if packet.kind is _DATA:
             self._on_data(packet)
             return
-        if packet.kind is not PacketKind.ROUTING:
+        if packet.kind is not _ROUTING:
             return
         payload = packet.payload
         if isinstance(payload, RouteRequest):
@@ -333,7 +336,7 @@ class ReactiveProtocol(RoutingProtocol):
             return  # arrived at the origin
         next_hop = reply.path[from_index - 1]
         frame = Packet(
-            kind=PacketKind.ROUTING,
+            kind=_ROUTING,
             src=self.node.node_id,
             dst=next_hop,
             size_bytes=reply.size_bytes(),
@@ -374,7 +377,7 @@ class ReactiveProtocol(RoutingProtocol):
         """MAC retry exhaustion: invalidate the link and send a route error."""
         me = self.node.node_id
         self.cache.invalidate_link(me, next_hop)
-        if packet.kind is not PacketKind.DATA:
+        if packet.kind is not _DATA:
             return  # lost control packet; discovery retries recover
         self.stats.data_dropped_link_failure += 1
         header = packet.payload
@@ -394,7 +397,7 @@ class ReactiveProtocol(RoutingProtocol):
             return
         previous_hop = header.path[position - 1]
         frame = Packet(
-            kind=PacketKind.ROUTING,
+            kind=_ROUTING,
             src=me,
             dst=previous_hop,
             size_bytes=error.size_bytes(),
@@ -414,7 +417,7 @@ class ReactiveProtocol(RoutingProtocol):
             return
         previous_hop = error.path[position - 1]
         frame = Packet(
-            kind=PacketKind.ROUTING,
+            kind=_ROUTING,
             src=me,
             dst=previous_hop,
             size_bytes=error.size_bytes(),
@@ -426,7 +429,7 @@ class ReactiveProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     def _broadcast_control(self, payload: object, size_bytes: int) -> None:
         frame = Packet(
-            kind=PacketKind.ROUTING,
+            kind=_ROUTING,
             src=self.node.node_id,
             dst=BROADCAST,
             size_bytes=size_bytes,

@@ -29,6 +29,8 @@ from repro.routing.base import NodeContext
 from repro.routing.costs import HopCount
 from repro.routing.reactive import ReactiveProtocol, RouteRequest, RREQ_JITTER
 
+_ACTIVE = PowerMode.ACTIVE
+
 
 class Titan(ReactiveProtocol):
     """DSR-style discovery with probabilistic PSM-node participation."""
@@ -60,13 +62,13 @@ class Titan(ReactiveProtocol):
         active = sum(
             1
             for neighbor in neighbors
-            if self.node.neighbor_mode(neighbor) is PowerMode.ACTIVE
+            if self.node.neighbor_mode(neighbor) is _ACTIVE
         )
         return active / len(neighbors)
 
     def participation_probability(self) -> float:
         """Probability that this node joins the current flood."""
-        if self.node.power.mode is PowerMode.ACTIVE:
+        if self.node.power.mode is _ACTIVE:
             return 1.0
         p = 1.0 - self.bias * self.active_neighbor_fraction()
         return min(1.0, max(self.min_participation, p))
@@ -83,6 +85,6 @@ class Titan(ReactiveProtocol):
 
     def rebroadcast_jitter(self) -> float:
         """Active nodes answer floods faster, so backbone routes win races."""
-        if self.node.power.mode is PowerMode.ACTIVE:
+        if self.node.power.mode is _ACTIVE:
             return self._routing_rng().uniform(0.0, RREQ_JITTER / 2)
         return self._routing_rng().uniform(RREQ_JITTER / 2, RREQ_JITTER)

@@ -45,6 +45,12 @@ CW_MAX = 1023
 #: Scheduling slack added to control-response timeouts.
 TIMEOUT_SLACK = 5e-6
 
+_IDLE = RadioState.IDLE
+_DATA = PacketKind.DATA
+_RTS = PacketKind.RTS
+_CTS = PacketKind.CTS
+_ACK = PacketKind.ACK
+
 #: Control-response timeouts per radio card (RadioModel is frozen, hence
 #: hashable).  Fixed per card, so the 300 MACs of a dense network share one
 #: read-only mapping instead of each deriving its own at assembly time.
@@ -56,7 +62,7 @@ def _control_times_for(card) -> dict:
     if times is None:
         times = _CONTROL_TIMES[card] = {
             kind: FRAME_SIZES[kind] * 8 / card.bandwidth + TIMEOUT_SLACK
-            for kind in (PacketKind.CTS, PacketKind.ACK)
+            for kind in (_CTS, _ACK)
         }
     return times
 
@@ -246,21 +252,17 @@ class Mac:
             return  # completion handled in _on_tx_done
         if (
             self.rts_enabled
-            and packet.kind is PacketKind.DATA
+            and packet.kind is _DATA
             and out.attempts < self.retry_limit
         ):
             rts = make_control_packet(
-                PacketKind.RTS, self.node_id, packet.dst, created_at=self.sim.now
+                _RTS, self.node_id, packet.dst, created_at=self.sim.now
             )
             duration = self.phy.transmit(rts)
-            self._await_response(
-                PacketKind.CTS, duration + SIFS + self._control_time(PacketKind.CTS)
-            )
+            self._await_response(_CTS, duration + SIFS + self._control_time(_CTS))
         else:
             duration = self.phy.transmit(packet, out.distance)
-            self._await_response(
-                PacketKind.ACK, duration + SIFS + self._control_time(PacketKind.ACK)
-            )
+            self._await_response(_ACK, duration + SIFS + self._control_time(_ACK))
 
     def _control_time(self, kind: PacketKind) -> float:
         return self._control_times[kind]
@@ -301,22 +303,15 @@ class Mac:
     # PHY upcalls
     # ------------------------------------------------------------------
     def _on_tx_done(self, packet: Packet) -> None:
-        if packet.kind in (PacketKind.CTS, PacketKind.ACK):
+        if packet.kind in (_CTS, _ACK):
             self._drain_responses()
             # Our own transaction (if any) continues independently.
             return
-        out = self._current
-        if out is None:
-            return
-        if packet.is_broadcast:
+        if self._current is not None and packet.is_broadcast:
             self.stats.sent_broadcast += 1
             self._current = None
             self._try_start()
-            return
-        if packet.kind is PacketKind.RTS:
-            return  # waiting for CTS
-        if packet.kind in (PacketKind.DATA, PacketKind.ROUTING):
-            return  # waiting for ACK
+        # Otherwise an RTS waits for its CTS, DATA or ROUTING for its ACK.
 
     def _on_phy_receive(self, packet: Packet) -> None:
         dst = packet.dst
@@ -327,27 +322,27 @@ class Mac:
         if dst != self._node_id:
             return  # overheard; carrier-sense cost already charged by PHY
         kind = packet.kind
-        if kind is PacketKind.RTS:
+        if kind is _RTS:
             cts = make_control_packet(
-                PacketKind.CTS, self.node_id, packet.src, created_at=self.sim.now
+                _CTS, self.node_id, packet.src, created_at=self.sim.now
             )
             self._respond(cts)
             return
-        if kind is PacketKind.CTS:
-            if self._awaiting is PacketKind.CTS and self._current is not None:
+        if kind is _CTS:
+            if self._awaiting is _CTS and self._current is not None:
                 assert self._timeout is not None
                 self._timeout.cancel()
                 self._awaiting = None
                 out = self._current
                 self.sim.schedule(SIFS, lambda: self._send_data_after_cts(out))
             return
-        if kind is PacketKind.ACK:
-            if self._awaiting is PacketKind.ACK:
+        if kind is _ACK:
+            if self._awaiting is _ACK:
                 self._finish_current(success=True)
             return
         # DATA or unicast ROUTING frame for us: ACK it and deliver.
         ack = make_control_packet(
-            PacketKind.ACK, self.node_id, packet.src, created_at=self.sim.now
+            _ACK, self.node_id, packet.src, created_at=self.sim.now
         )
         self._respond(ack)
         self.stats.delivered += 1
@@ -356,14 +351,12 @@ class Mac:
     def _send_data_after_cts(self, out: _Outgoing) -> None:
         if self._current is not out or self.phy.asleep:
             return
-        if self.phy.state is not RadioState.IDLE:
+        if self.phy.state is not _IDLE:
             # Channel got grabbed in the SIFS gap; treat as failed attempt.
             self._on_timeout()
             return
         duration = self.phy.transmit(out.packet, out.distance)
-        self._await_response(
-            PacketKind.ACK, duration + SIFS + self._control_time(PacketKind.ACK)
-        )
+        self._await_response(_ACK, duration + SIFS + self._control_time(_ACK))
 
     # ------------------------------------------------------------------
     # Control responses (CTS/ACK after SIFS)
@@ -376,7 +369,7 @@ class Mac:
     def _drain_responses(self) -> None:
         if not self._response_queue:
             return
-        if self.phy.asleep or self.phy.state is not RadioState.IDLE:
+        if self.phy.asleep or self.phy.state is not _IDLE:
             # Radio busy; try again shortly.  Responses are only useful for a
             # short while, so stale ones are discarded.
             frame, queued_at = self._response_queue[0]

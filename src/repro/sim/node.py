@@ -32,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.routing.base import RoutingProtocol
     from repro.sim.psm import NoPsm, PsmScheduler
 
+_ACTIVE = PowerMode.ACTIVE
+
 
 class Node:
     """One wireless node with a full protocol stack."""
@@ -102,7 +104,7 @@ class Node:
         are assumed active (safe for cost purposes).
         """
         oracle = self._neighbor_modes.get(neighbor)
-        return oracle() if oracle is not None else PowerMode.ACTIVE
+        return oracle() if oracle is not None else _ACTIVE
 
     # ------------------------------------------------------------------
     # Application interface

@@ -39,6 +39,8 @@ class PacketKind(Enum):
     ROUTING = "routing"  # RREQ/RREP/RERR/DSDV updates/TITAN hellos
 
 
+_DATA = PacketKind.DATA
+
 #: Frame sizes in bytes (802.11-flavored defaults; headers included).
 FRAME_SIZES = {
     PacketKind.RTS: 20,
@@ -82,7 +84,7 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("packet size must be positive")
-        if self.kind is PacketKind.DATA:
+        if self.kind is _DATA:
             self.is_control = False
 
     @property
@@ -112,7 +114,7 @@ def make_data_packet(
 ) -> Packet:
     """Build an application DATA frame with MAC/PHY overhead added."""
     return Packet(
-        kind=PacketKind.DATA,
+        kind=_DATA,
         src=src,
         dst=dst,
         size_bytes=payload_bytes + HEADER_OVERHEAD,

@@ -38,7 +38,10 @@ BEACON_INTERVAL = 0.3
 ATIM_WINDOW = 0.02
 
 _IDLE = RadioState.IDLE
+_ACTIVE = PowerMode.ACTIVE
 _POWER_SAVE = PowerMode.POWER_SAVE
+_ATIM = PacketKind.ATIM
+_ATIM_ACK = PacketKind.ATIM_ACK
 
 
 @dataclass(slots=True)
@@ -102,8 +105,8 @@ class PsmScheduler:
             phy=phy,
             mac=mac,
             mode=mode,
-            atim_airtime=FRAME_SIZES[PacketKind.ATIM] * 8 / bandwidth,
-            ack_airtime=FRAME_SIZES[PacketKind.ATIM_ACK] * 8 / bandwidth,
+            atim_airtime=FRAME_SIZES[_ATIM] * 8 / bandwidth,
+            ack_airtime=FRAME_SIZES[_ATIM_ACK] * 8 / bandwidth,
         )
         self._members[phy.node_id] = member
         mac.peer_awake = self.peer_awake
@@ -139,7 +142,7 @@ class PsmScheduler:
             # would hide the failure from the MAC forever; transmit, burn
             # the retries, and let on_link_failure trigger route repair.
             return True
-        if member.mode() is PowerMode.ACTIVE:
+        if member.mode() is _ACTIVE:
             return True
         return member.awake_this_interval or self._in_atim
 
@@ -169,7 +172,7 @@ class PsmScheduler:
         member = self._members.get(node_id)
         if member is None:
             return
-        if mode is PowerMode.ACTIVE:
+        if mode is _ACTIVE:
             member.phy.wake()
             member.mac.kick()
 
@@ -214,7 +217,7 @@ class PsmScheduler:
             for dst in mac.pending_unicast_destinations():
                 peer = self._members.get(dst)
                 if peer is None or peer.phy.failed or (
-                    peer.mode() is PowerMode.ACTIVE
+                    peer.mode() is _ACTIVE
                 ):
                     # AM peers need no announcement; failed peers get none
                     # (the sender still stays up so the MAC can transmit
@@ -234,7 +237,7 @@ class PsmScheduler:
                 for neighbor_id in member.phy.channel.neighbors(node_id):
                     peer = self._members.get(neighbor_id)
                     if peer is None or peer.phy.failed or (
-                        peer.mode() is PowerMode.ACTIVE
+                        peer.mode() is _ACTIVE
                     ):
                         continue
                     self.atim_announcements += 1
@@ -243,7 +246,7 @@ class PsmScheduler:
                         peer.expected_broadcasts += 1
                     else:
                         peer.awake_this_interval = True
-            if announced and member.mode() is PowerMode.POWER_SAVE:
+            if announced and member.mode() is _POWER_SAVE:
                 member.awake_this_interval = True
 
     def _end_of_atim(self) -> None:

@@ -26,6 +26,8 @@ from repro.sim.packet import Packet, PacketKind
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import WirelessNetwork
 
+_DATA = PacketKind.DATA
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -157,7 +159,7 @@ class Tracer:
         total = sum(airtime.values())
         if total == 0:
             return 0.0
-        data = airtime.get(PacketKind.DATA, 0.0)
+        data = airtime.get(_DATA, 0.0)
         return 1.0 - data / total
 
     def flow_path(self, flow_id: int) -> list[int]:
@@ -166,7 +168,7 @@ class Tracer:
         for event in self._events:
             if (
                 event.kind == "send"
-                and event.packet_kind is PacketKind.DATA
+                and event.packet_kind is _DATA
                 and event.flow_id == flow_id
                 and event.node not in seen
             ):

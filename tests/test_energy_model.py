@@ -9,6 +9,7 @@ from repro.core.energy_model import (
     RouteEnergyEvaluator,
 )
 from repro.core.radio import CABLETRON, MICA2, RadioState
+from repro.experiments.runner import _always_active_energy
 
 
 class TestNodeEnergy:
@@ -62,6 +63,47 @@ class TestNodeEnergy:
         assert ledger.state_time[RadioState.TRANSMIT] == pytest.approx(1.5)
         assert ledger.state_time[RadioState.RECEIVE] == pytest.approx(0.5)
         assert ledger.busy_time == pytest.approx(10.0)
+
+    def test_state_time_is_the_four_fields_in_radio_state_order(self):
+        ledger = NodeEnergy(card=CABLETRON)
+        ledger.charge_data_tx(1.5, distance=10.0)
+        ledger.charge_control_tx(0.25)
+        ledger.charge_control_tx(9.0, track_time=False)
+        ledger.charge_data_rx(0.5)
+        ledger.charge_control_rx(0.75)
+        ledger.charge_control_rx(9.0, track_time=False)
+        ledger.charge_idle(3.0)
+        ledger.charge_sleep(5.0)
+        assert list(ledger.state_time.items()) == [
+            (RadioState.TRANSMIT, ledger.transmit_time),
+            (RadioState.RECEIVE, ledger.receive_time),
+            (RadioState.IDLE, ledger.idle_time),
+            (RadioState.SLEEP, ledger.sleep_time),
+        ]
+        assert list(ledger.state_time.values()) == [1.75, 1.25, 3.0, 5.0]
+
+    def test_state_time_rejects_item_assignment(self):
+        ledger = NodeEnergy(card=CABLETRON)
+        with pytest.raises(TypeError):
+            ledger.state_time[RadioState.IDLE] = 1.0
+        with pytest.raises(TypeError):
+            ledger.state_time[RadioState.SLEEP] += 1.0
+        assert ledger.busy_time == 0.0
+
+    def test_busy_time_sums_in_radio_state_order(self):
+        """Float addition is not associative: at 1e16 the spacing is 2, so
+        the sum depends on the order, and busy_time keeps the TRANSMIT,
+        RECEIVE, IDLE, SLEEP order of the per-state dict it replaced."""
+        ledger = NodeEnergy(card=CABLETRON)
+        ledger.charge_data_tx(1e16)
+        ledger.charge_data_rx(1.0)
+        ledger.charge_idle(1.0)
+        ledger.charge_sleep(0.5)
+        expected = 0
+        for value in (1e16, 1.0, 1.0, 0.5):
+            expected += value
+        assert ledger.busy_time == expected == 1e16
+        assert 0.5 + 1.0 + 1.0 + 1e16 != expected
 
     def test_transmit_energy_combines_data_and_control(self):
         ledger = NodeEnergy(card=CABLETRON)
@@ -187,6 +229,28 @@ class TestRouteEnergyEvaluator:
         airtime = packets * 1024 / CABLETRON.bandwidth
         assert energy[0].state_time[RadioState.TRANSMIT] == pytest.approx(airtime)
         assert energy[1].state_time[RadioState.RECEIVE] == pytest.approx(airtime)
+
+    def test_always_active_ledgers_keep_odpm_times_and_idle_the_rest(self):
+        """The DSR-Active baseline copies each ODPM ledger's transmit and
+        receive times and idles for all of its idle and sleep time."""
+        positions = {0: (0.0, 0.0), 1: (150.0, 0.0), 2: (300.0, 0.0), 3: (0.0, 150.0)}
+        evaluator = RouteEnergyEvaluator(positions, CABLETRON)
+        routes = [FlowRoute(path=(0, 1, 2), rate=4000.0)]
+        odpm = evaluator.evaluate(routes, 50.0, scheduling="odpm")
+        active = _always_active_energy(evaluator, routes, 50.0)
+        assert set(active.nodes) == set(odpm.nodes)
+        assert odpm[3].sleep_time > 0 and odpm[3].idle_time > 0
+        for node_id, ledger in odpm:
+            target = active[node_id]
+            passive = ledger.idle_time + ledger.sleep_time
+            assert target.transmit_time == ledger.transmit_time
+            assert target.receive_time == ledger.receive_time
+            assert target.idle_time == passive
+            assert target.sleep_time == 0.0
+            assert (target.data_tx, target.data_rx) == (ledger.data_tx, ledger.data_rx)
+            assert target.idle == passive * CABLETRON.p_idle
+            assert target.sleep == 0.0
+            assert target.busy_time == pytest.approx(50.0)
 
     def test_power_control_reduces_tx_energy(self):
         positions = {0: (0.0, 0.0), 1: (200.0, 0.0)}

@@ -13,6 +13,23 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
+
+@pytest.fixture(autouse=True)
+def builtin_protocols():
+    """Give later tests the built-in protocol registry back.
+
+    ``custom_protocol.py`` registers ``LIFETIME-ODPM`` in the shared
+    ``PROTOCOLS`` dict; without this, the preset would stay there for the
+    rest of the session.
+    """
+    from repro.sim.network import PROTOCOLS
+
+    saved = dict(PROTOCOLS)
+    yield saved
+    PROTOCOLS.clear()
+    PROTOCOLS.update(saved)
+
+
 FAST_EXAMPLES = [
     "quickstart.py",
     "characteristic_hop_count.py",
@@ -50,12 +67,14 @@ def test_hop_count_example_names_threshold(capsys):
     assert "FCC" in out
 
 
-def test_custom_protocol_example_cleans_registry():
-    """The example registers LIFETIME-ODPM; re-running must not crash."""
+def test_custom_protocol_example_cleans_registry(builtin_protocols):
+    """The example registers LIFETIME-ODPM; re-running must not crash, and
+    the ``builtin_protocols`` fixture removes it again afterwards."""
     from repro.sim.network import PROTOCOLS
 
+    assert "LIFETIME-ODPM" not in builtin_protocols
     runpy.run_path(str(EXAMPLES_DIR / "custom_protocol.py"), run_name="__main__")
-    assert "LIFETIME-ODPM" in PROTOCOLS
+    assert set(PROTOCOLS) == set(builtin_protocols) | {"LIFETIME-ODPM"}
     # Idempotent re-registration (the example overwrites its own preset).
     runpy.run_path(str(EXAMPLES_DIR / "custom_protocol.py"), run_name="__main__")
 
