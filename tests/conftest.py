@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.radio import CABLETRON, HYPOTHETICAL_CABLETRON, MICA2, RadioMode
 from repro.net.topology import Placement, grid_placement, uniform_random_placement
 from repro.sim.network import NetworkConfig, WirelessNetwork
 from repro.traffic.flows import FlowSpec
+import smoke_pins
 
 
 @pytest.fixture
@@ -70,3 +73,52 @@ def line_flow(rate_bps: float = 4000.0, start: float = 1.0, **kwargs) -> FlowSpe
     return FlowSpec(
         flow_id=0, source=0, destination=4, rate_bps=rate_bps, start=start, **kwargs
     )
+
+
+@dataclass(frozen=True)
+class SmokeRun:
+    """What the tests read from one smoke pin cell's run."""
+
+    digest: str
+    events: int
+    #: Objects the cyclic collector found after the cell, collector paused.
+    garbage: int
+
+
+class SmokeRuns:
+    """Each cell of ``smoke_pins.CELLS`` run at most once per session.
+
+    The teardown tests (no cyclic garbage) and the pin table
+    (``tests/test_smoke_pins.py``) read the same run, so tier-1 pays for
+    each cell once.  A run starts from a collected heap with the
+    collector paused, as ``tests/test_teardown.py`` requires.
+    """
+
+    def __init__(self) -> None:
+        self._runs: dict[str, SmokeRun] = {}
+
+    def __getitem__(self, cell_id: str) -> SmokeRun:
+        run = self._runs.get(cell_id)
+        if run is None:
+            run = self._runs[cell_id] = self._run(cell_id)
+        return run
+
+    @staticmethod
+    def _run(cell_id: str) -> SmokeRun:
+        gc.collect()
+        gc.disable()
+        try:
+            result = smoke_pins.run_cell(cell_id)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        return SmokeRun(
+            digest=smoke_pins.digest(result),
+            events=result.events_processed,
+            garbage=garbage,
+        )
+
+
+@pytest.fixture(scope="session")
+def smoke_runs() -> SmokeRuns:
+    return SmokeRuns()

@@ -17,66 +17,25 @@ import pytest
 from repro.core.radio import CABLETRON
 from repro.experiments import runner
 from repro.experiments.parallel import GridCellError
-from repro.experiments.scenarios import (
-    bursty_small,
-    churn_grid,
-    lossy_small,
-    mobile_small,
-    small_network,
-)
+from repro.experiments.scenarios import small_network
 from repro.net.topology import Placement
-from repro.sim.channel_models import ChannelSpec
 from repro.sim.network import PROTOCOLS, NetworkConfig, WirelessNetwork
 from repro.traffic.flows import FlowSpec
-
-CELLS = [
-    pytest.param(small_network, None, "DSR-ODPM", id="DSR-ODPM"),
-    pytest.param(small_network, None, "TITAN-PC", id="TITAN-PC"),
-    pytest.param(small_network, None, "DSR-Active", id="DSR-Active"),
-    pytest.param(small_network, None, "DSDVH-ODPM", id="DSDVH-ODPM"),
-    pytest.param(
-        small_network, None, "DSDVH-ODPM(0.6,1.2)-Span", id="DSDVH-Span"
-    ),
-    pytest.param(small_network, None, "DSR-Span", id="DSR-Span"),
-    pytest.param(small_network, None, "DSDV-ODPM", id="DSDV-ODPM"),
-    pytest.param(small_network, None, "DSR-ODPM-PC", id="DSR-ODPM-PC"),
-    pytest.param(
-        small_network, None, "DSRH-ODPM(norate)", id="DSRH-ODPM(norate)"
-    ),
-    pytest.param(small_network, None, "DSRH-ODPM(rate)", id="DSRH-ODPM(rate)"),
-    pytest.param(small_network, None, "MTPR-ODPM", id="MTPR-ODPM"),
-    pytest.param(small_network, None, "MTPR+-ODPM", id="MTPR+-ODPM"),
-    pytest.param(mobile_small, None, "DSR-ODPM", id="mobile_small"),
-    pytest.param(churn_grid, None, "DSR-ODPM", id="churn_grid"),
-    pytest.param(lossy_small, None, "TITAN-PC", id="lossy_small"),
-    pytest.param(
-        small_network,
-        ChannelSpec("rssi-margin", (("margin", 6.0),)),
-        "DSR-ODPM",
-        id="rssi-margin",
-    ),
-    pytest.param(bursty_small, None, "DSR-ODPM", id="bursty_small"),
-]
+from smoke_pins import CELLS as SMOKE_CELLS
 
 
 def test_cells_cover_every_protocol():
-    covered = {param.values[2] for param in CELLS}
+    covered = {protocol for _, _, protocol in SMOKE_CELLS.values()}
     assert covered == set(PROTOCOLS)
 
 
-@pytest.mark.parametrize("preset, channel, protocol", CELLS)
-def test_run_single_leaves_no_cyclic_garbage(preset, channel, protocol):
-    scenario = preset(scale="smoke")
-    if channel is not None:
-        scenario = scenario.with_channel(channel)
-    gc.collect()
-    gc.disable()
-    try:
-        result = runner.run_single(scenario, protocol, 4.0, 1)
-        assert result.events_processed > 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("cell_id", list(SMOKE_CELLS), ids=list(SMOKE_CELLS))
+def test_run_single_leaves_no_cyclic_garbage(smoke_runs, cell_id):
+    """One smoke cell per protocol, dynamic preset and channel model,
+    run through ``runner.run_single`` (the ``smoke_runs`` fixture)."""
+    run = smoke_runs[cell_id]
+    assert run.events > 0
+    assert run.garbage == 0
 
 
 def _line_network(protocol: str, start: float) -> WirelessNetwork:
