@@ -9,18 +9,22 @@ distance (the paper assumes infinitely adjustable transmit power).
 
 Positions are static by default, so all geometry is precomputed:
 :meth:`Channel.freeze` (run lazily after the last :meth:`Channel.register`)
-builds one distance-sorted neighbor table per node, and
-:meth:`Channel.in_reach` resolves a transmission's receiver set with a
-single bisect over that table instead of re-checking distances per frame.
-The pair scan inside ``freeze`` (:meth:`ChannelGeometry.from_positions`)
-is a cell list: positions are binned into ``max_range``-sized cells and
-each node measures only the members of the cells its range window
-overlaps, O(N x degree) instead of O(N^2).  Every candidate is
-re-measured with ``math.hypot`` and entries sort by ``(distance, rank)``,
-so the tables are byte-identical to the brute-force reference scan; a
-prebuilt :class:`ChannelGeometry` can also be handed to the
-:class:`Channel` constructor so the seeds of a sweep share a single
-geometry pass (see :func:`repro.experiments.runner.shared_setup`).
+fixes one :class:`ChannelGeometry` — every node's in-range neighbors,
+distance-sorted — and each node's mutable neighbor table is resolved
+from it the first time :meth:`Channel.in_reach` or
+:meth:`Channel.neighbors` asks for that node, so a cell pays only for the
+tables its traffic reads.  ``in_reach`` then resolves a transmission's
+receiver set with a single bisect over the table instead of re-checking
+distances per frame.  The pair scan behind the geometry
+(:meth:`ChannelGeometry.from_positions`) is a cell list: positions are
+binned into ``max_range``-sized cells and each node measures only the
+members of the cells its range window overlaps, O(N x degree) instead of
+O(N^2).  Every candidate is re-measured with ``math.hypot`` and entries
+sort by ``(distance, rank)``, so the tables are byte-identical to the
+brute-force reference scan; a prebuilt :class:`ChannelGeometry` can also
+be handed to the :class:`Channel` constructor so the seeds of a sweep
+share a single geometry pass (see
+:func:`repro.experiments.runner.shared_setup`).
 Receiver order is registration order — the same order the naive scan
 produced — because the order in which ``rx_end`` upcalls fire schedules MAC
 responses and therefore affects event sequence numbers; the determinism
@@ -30,8 +34,11 @@ Dynamic topologies (:mod:`repro.sim.mobility`) move nodes mid-run through
 :meth:`Channel.update_position`, which repairs the frozen tables
 *incrementally* through the same cells: the moved node's own table is
 rebuilt, and only the tables of nodes bucketed within range of its old or
-new position are patched in place for the single entry that changed —
-O(moved nodes x degree), never the O(N^2) full re-freeze.  The bucket
+new position are resolved (before the move) and patched in place for the
+single entry that changed — O(moved nodes x degree), never the O(N^2)
+full re-freeze.  A table no move has touched is still the one the freeze
+described, so it can be resolved from the frozen geometry at any later
+time.  The bucket
 index (:class:`_SpatialIndex`) is built at the first move after a freeze,
 so static runs never build it and stay bit-identical to pre-mobility
 builds.  Neighbor-set changes are counted in :attr:`Channel.link_changes`,
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -87,7 +94,7 @@ _CANDIDATE_SLACK = 1e-9
 class ChannelGeometry:
     """Precomputed all-pairs neighbor geometry, shareable across runs.
 
-    Holds exactly what :meth:`Channel.freeze` needs to build one
+    Holds exactly what a frozen :class:`Channel` needs to resolve one
     :class:`_NeighborTable` per node — the ``(distance, rank, neighbor)``
     entries of every in-range pair, sorted by ``(distance, rank)``, plus
     the same entries in rank (registration) order — keyed to a specific
@@ -97,7 +104,7 @@ class ChannelGeometry:
     candidate pairs are *found*, never how they are measured.
 
     Instances are immutable (tuples throughout) and safe to share: every
-    ``freeze`` builds fresh mutable lists from them, so one simulation's
+    resolved table is built from fresh mutable lists, so one simulation's
     mobility patches can never leak into a sibling seed's tables.  Built
     by :func:`repro.experiments.runner.shared_setup` — once per sweep,
     or per pool worker — for scenarios whose placement does not depend
@@ -285,7 +292,7 @@ class _SpatialIndex:
 
 
 class _NeighborTable:
-    """Per-node reach table, built at freeze time, patched on position moves.
+    """Per-node reach table, resolved on first use, patched on position moves.
 
     ``dists`` is sorted ascending; ``by_dist`` holds ``(rank, phy)`` pairs in
     the same order, where ``rank`` is the neighbor's registration index so a
@@ -356,6 +363,55 @@ class _NeighborTable:
         self._place_by_dist(rank, phy, dist)
 
 
+class _NeighborTables(dict):
+    """Node id -> :class:`_NeighborTable`, each resolved on first lookup.
+
+    :meth:`Channel.freeze` leaves the mapping empty.  The first
+    ``tables[node_id]`` instantiates the node's table from the frozen
+    :attr:`geometry` — fresh lists, neighbor ranks resolved to PHYs by
+    position in registration order — or, for a placed node without a
+    PHY, scans the bucket index (``build``), and keeps it.  ``get``,
+    ``in`` and ``len`` see resolved tables only.
+
+    The mapping holds the channel's PHYs and a method of the channel, so
+    :meth:`Channel.close` drops it along with the tables.
+    """
+
+    __slots__ = ("geometry", "_phys", "_build")
+
+    def __init__(
+        self,
+        geometry: ChannelGeometry,
+        phys: list["Phy"],
+        build: "Callable[[int], _NeighborTable]",
+    ) -> None:
+        super().__init__()
+        #: The geometry of the last freeze: registered nodes only, ranks
+        #: equal to registration indices.
+        self.geometry = geometry
+        self._phys = phys
+        self._build = build
+
+    def __missing__(self, node_id: int) -> _NeighborTable:
+        geometry = self.geometry
+        ranks = geometry.ranks.get(node_id)
+        if ranks is None:
+            table = self._build(node_id)
+        else:
+            phys = self._phys
+            table = _NeighborTable(
+                dists=list(geometry.dists[node_id]),
+                by_dist=[
+                    (rank, phys[rank]) for rank in geometry.dist_ranks[node_id]
+                ],
+                full=[phys[rank] for rank in ranks],
+                ids=list(geometry.ids[node_id]),
+                ranks=list(ranks),
+            )
+        self[node_id] = table
+        return table
+
+
 class Channel:
     """Shared broadcast medium for all nodes in a simulation.
 
@@ -370,8 +426,8 @@ class Channel:
         static connectivity graph used for neighbor discovery.
     geometry:
         Optional prebuilt :class:`ChannelGeometry` for these positions;
-        :meth:`freeze` instantiates its tables from it instead of
-        recomputing the pair scan.  A geometry whose node order or
+        :meth:`freeze` resolves its tables from it instead of recomputing
+        the pair scan.  A geometry whose node order or
         positions no longer match (extra registrations, pre-freeze moves)
         is ignored and the scan runs normally, so a stale geometry can
         cost time but never correctness; each such rejection bumps
@@ -403,6 +459,7 @@ class Channel:
         self.max_range = max_range
         self._geometry = geometry
         self._phys: dict[int, "Phy"] = {}
+        #: Resolved neighbor tables; a :class:`_NeighborTables` once frozen.
         self._tables: dict[int, _NeighborTable] = {}
         self._ranks: dict[int, int] = {}
         self._frozen = False
@@ -467,51 +524,42 @@ class Channel:
         return cached
 
     def freeze(self) -> None:
-        """Precompute every node's distance-sorted neighbor table.
+        """Fix the neighbor geometry; each table resolves on first use.
 
         Called automatically on first propagation/neighbor use after the
         last :meth:`register`; call it explicitly after network assembly to
         front-load the geometry pass.  Registering another PHY
         un-freezes the channel and the next use re-freezes it.
 
-        The pair scan runs through :class:`ChannelGeometry`'s cell list,
-        and is skipped entirely when a still-valid prebuilt geometry was
-        handed to the constructor; a partially registered network builds
-        each table through the bucket index instead.  All paths produce
-        bit-identical tables (the pinned digests of
+        The geometry is the still-valid prebuilt one handed to the
+        constructor, or else one pair scan through
+        :class:`ChannelGeometry`'s cell list over the registered nodes in
+        registration order.  No table is built here: :class:`_NeighborTables`
+        resolves a node's table the first time it is read, bit-identical to
+        a table built at freeze time (the pinned digests of
         ``tests/test_orchestration.py`` run over them).
         """
-        self._ranks = {node_id: rank for rank, node_id in enumerate(self._phys)}
+        phys = self._phys
+        self._ranks = {node_id: rank for rank, node_id in enumerate(phys)}
         self._spatial = None  # positions may have moved while unfrozen
         geometry = self._geometry
         if geometry is not None and not self._geometry_valid(geometry):
             geometry = None
             self.geometry_mismatches += 1
-        if geometry is None and tuple(self._phys) == tuple(self.positions):
-            # The standard fully-registered network: ranks equal position
-            # order, so the geometry pass applies.
-            geometry = ChannelGeometry.from_positions(
-                self.positions, self.max_range
-            )
-        if geometry is not None:
-            # Ranks equal registration indices here (checked above), so
-            # PHYs resolve positionally — no per-entry dict hashing.
-            phys_seq = list(self._phys.values())
-            self._tables = {
-                node_id: self._table_from_geometry(
-                    geometry, node_id, phys_seq
-                )
-                for node_id in self.positions
-            }
-        else:
-            # Partial registration (some placed nodes have no PHY): the
-            # tables only list registered nodes, but are keyed by
-            # position (not registration) so neighbor queries answer for
-            # any placed node.
-            self._tables = {
-                node_id: self._build_table(node_id)
-                for node_id in self.positions
-            }
+        if geometry is None:
+            positions = self.positions
+            if tuple(phys) != tuple(positions):
+                # Partial or reordered registration: ranks are registration
+                # indices, so the scan runs over the registered nodes in
+                # that order.  Placed nodes without a PHY get their (PHY
+                # only) tables from the bucket index on first use, keyed
+                # by position so neighbor queries answer for any placed
+                # node.
+                positions = {node_id: positions[node_id] for node_id in phys}
+            geometry = ChannelGeometry.from_positions(positions, self.max_range)
+        self._tables = _NeighborTables(
+            geometry, list(phys.values()), self._build_table
+        )
         self._frozen = True
 
     def _geometry_valid(self, geometry: ChannelGeometry) -> bool:
@@ -520,30 +568,6 @@ class Channel:
             geometry.max_range == self.max_range
             and geometry.order == tuple(self._phys)
             and geometry.positions == self.positions
-        )
-
-    def _table_from_geometry(
-        self,
-        geometry: ChannelGeometry,
-        node_id: int,
-        phys_seq: list["Phy"],
-    ) -> _NeighborTable:
-        """Instantiate one node's table from precomputed geometry.
-
-        Builds fresh lists (the geometry's tuples are shared across runs;
-        mobility patches tables in place) and resolves neighbor ranks to
-        this channel's PHYs by position in registration order.
-        """
-        ranks = geometry.ranks[node_id]
-        return _NeighborTable(
-            dists=list(geometry.dists[node_id]),
-            by_dist=[
-                (rank, phys_seq[rank])
-                for rank in geometry.dist_ranks[node_id]
-            ],
-            full=[phys_seq[rank] for rank in ranks],
-            ids=list(geometry.ids[node_id]),
-            ranks=list(ranks),
         )
 
     def _index(self) -> _SpatialIndex:
@@ -610,24 +634,35 @@ class Channel:
         if node_id not in self.positions:
             raise ValueError("node %r has no position" % node_id)
         self.position_updates += 1
-        self._distance_cache.clear()
         if not self._frozen:
+            self._distance_cache.clear()
             self.positions[node_id] = position
             return  # next freeze() rebuilds everything from positions
         spatial = self._index()
         old_position = self.positions[node_id]
-        self.positions[node_id] = position
-        spatial.move(node_id, position)
         tables = self._tables
         phy = self._phys.get(node_id)
+        # Resolve every table the move can patch while the positions still
+        # describe the layout before it: a table first resolved after the
+        # write below would already hold the move, and the link it gains or
+        # loses would go uncounted.
+        affected = (
+            [
+                (other, tables[other])
+                for other in spatial.near((old_position, position))
+                if other != node_id
+            ]
+            if phy is not None
+            else ()
+        )
+        self._distance_cache.clear()
+        self.positions[node_id] = position
+        spatial.move(node_id, position)
         if phy is not None:
             rank = self._ranks[node_id]
             max_range = self.max_range
             distance = self.distance
-            for other in spatial.near((old_position, position)):
-                if other == node_id:
-                    continue
-                table = tables[other]
+            for other, table in affected:
                 dist = distance(other, node_id)
                 slot = bisect_right(table.ranks, rank) - 1
                 present = slot >= 0 and table.ranks[slot] == rank
@@ -655,6 +690,17 @@ class Channel:
         oracles) see exactly the pre-freeze sequence.
         """
         return self._table(node_id).ids
+
+    def frozen_neighbors(self, node_id: int) -> tuple[int, ...]:
+        """Registered nodes within nominal range of ``node_id`` at the last
+        freeze, in registration order, whatever has moved since.
+
+        Read from the frozen geometry, so it resolves no table.
+        ``node_id`` must have a registered PHY.
+        """
+        if not self._frozen:
+            self.freeze()
+        return self._tables.geometry.ids[node_id]
 
     def in_reach(self, src: int, reach: float) -> list["Phy"]:
         """PHYs of nodes within ``reach`` meters of ``src`` (excluding src).
@@ -725,15 +771,16 @@ class Channel:
     def close(self) -> None:
         """Drop the PHY registry, the neighbor tables and the model binding.
 
-        PHYs point back at the channel and a bound model points back at it
-        too, so a finished network's channel sits in reference cycles;
+        PHYs point back at the channel, and so do a bound model and the
+        table map (it resolves through a method of the channel), so a
+        finished network's channel sits in reference cycles;
         :meth:`~repro.sim.network.WirelessNetwork.close` breaks them here.
         The positions, the counters and the shared prebuilt geometry stay
         (the geometry is shared across seeds and is never cleared).  A
         closed channel must not carry frames again.
         """
         self._phys.clear()
-        self._tables.clear()
+        self._tables = {}
         self.model = None
         self._filter = None
 

@@ -271,28 +271,16 @@ class WirelessNetwork:
                 power_control=preset.power_control,
                 rts_enabled=config.rts_enabled,
                 capture_ratio=config.capture_ratio,
+                peers=self.nodes,
             )
             node.attach_routing(preset.routing(node))
             self.nodes[node_id] = node
 
-        # All PHYs are registered: front-load the one O(N^2) geometry pass
-        # that builds the channel's distance-sorted neighbor tables, so the
-        # first transmission does not pay for it mid-run.
+        # All PHYs are registered: front-load the geometry pass (skipped
+        # for a valid shared geometry) so the first transmission does not
+        # pay for it mid-run.  It fixes the neighbor sets each node's mode
+        # lookup reads; tables and lookups are built on first use.
         self.channel.freeze()
-
-        # Neighbor power-mode oracles (PSM-beacon piggybacking stand-in).
-        # One getter per node, shared by every neighbor that registers it
-        # (the naive per-edge lambda was measurable at dense-scenario
-        # assembly time; the callables are behaviourally identical).
-        mode_getters = {
-            node_id: (lambda n=node: n.power.mode)
-            for node_id, node in self.nodes.items()
-        }
-        for node_id, node in self.nodes.items():
-            node.register_neighbor_modes(
-                (neighbor_id, mode_getters[neighbor_id])
-                for neighbor_id in self.channel.neighbors(node_id)
-            )
 
         # Traffic: one model-driven source per flow (CBR flows carry no
         # spec and take the byte-identical legacy schedule).  Per-delivery

@@ -10,14 +10,17 @@ A :class:`Node` wires the layer upcalls together:
   installed by the traffic sink.
 
 It also provides the two oracles the protocols need: ``neighbor_mode``
-(TITAN's backbone knowledge and Eq. 12's PSM penalty — both justified by
+(TITAN's backbone knowledge and Span's coverage rule — both justified by
 state piggybacking on PSM beacons) and ``power_control`` (whether data
-frames are transmitted with distance-tuned power).
+frames are transmitted with distance-tuned power).  ``neighbor_mode``
+answers for the neighbors the node had when the network was assembled
+(the channel's last freeze) and builds that lookup on its first call, so
+a node that never asks builds none.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.energy_model import NodeEnergy
 from repro.core.radio import PowerMode, RadioModel
@@ -50,6 +53,7 @@ class Node:
         power_control: bool = False,
         rts_enabled: bool = True,
         capture_ratio: float | None = None,
+        peers: "Mapping[int, Node] | None" = None,
     ) -> None:
         self.sim = sim
         self.channel = channel
@@ -62,12 +66,17 @@ class Node:
         self.mac = Mac(sim, self.phy, rts_enabled=rts_enabled)
         self.power = power_manager_factory(sim, node_id)
         self.psm = psm
-        psm.register(self.phy, self.mac, lambda: self.power.mode)
+        psm.register(self.phy, self.mac, self.power.mode)
         self.power.on_mode_change = self._on_mode_change
 
         self.routing: "RoutingProtocol | None" = None
         self.on_app_data: Callable[[Packet], None] = lambda packet: None
-        self._neighbor_modes: dict[int, Callable[[], PowerMode]] = {}
+        #: Every node of the network by id (shared, filled by the network);
+        #: ``neighbor_mode`` reads the neighbors' power managers from it.
+        self._peers = peers
+        #: Neighbor id -> power manager, built by the first
+        #: ``neighbor_mode`` call.
+        self._neighbor_power: dict[int, PowerManager] | None = None
 
         self.mac.on_deliver = self._on_deliver
         self.mac.on_link_failure = self._on_link_failure
@@ -83,28 +92,28 @@ class Node:
             raise RuntimeError("routing already attached")
         self.routing = routing
 
-    def register_neighbor_mode(
-        self, neighbor: int, mode: Callable[[], PowerMode]
-    ) -> None:
-        """Install the power-mode oracle for a neighbor (done by Network)."""
-        self._neighbor_modes[neighbor] = mode
-
-    def register_neighbor_modes(self, modes) -> None:
-        """Bulk-install neighbor oracles from ``(neighbor, mode)`` pairs.
-
-        One dict update per node instead of one method call per edge —
-        dense-network assembly registers O(N x degree) oracles.
-        """
-        self._neighbor_modes.update(modes)
-
     def neighbor_mode(self, neighbor: int) -> PowerMode:
         """Power-management state of a neighbor.
 
-        Stands in for state piggybacked on PSM beacons; unknown neighbors
-        are assumed active (safe for cost purposes).
+        Stands in for state piggybacked on PSM beacons.  Neighbors are the
+        nodes in range when the network was assembled (the channel's last
+        freeze), whatever has moved since; anyone else is assumed active
+        (safe for cost purposes).  The lookup is built on the first call.
         """
-        oracle = self._neighbor_modes.get(neighbor)
-        return oracle() if oracle is not None else _ACTIVE
+        power = self._neighbor_power
+        if power is None:
+            power = self._neighbor_power = self._assembly_neighbor_power()
+        manager = power.get(neighbor)
+        return manager.mode if manager is not None else _ACTIVE
+
+    def _assembly_neighbor_power(self) -> dict[int, PowerManager]:
+        peers = self._peers
+        if peers is None:
+            return {}
+        return {
+            neighbor: peers[neighbor].power
+            for neighbor in self.channel.frozen_neighbors(self.node_id)
+        }
 
     # ------------------------------------------------------------------
     # Application interface
@@ -142,9 +151,10 @@ class Node:
         """Unwire the stack at the end of a run.
 
         Each layer drops its upcalls and back-pointers, and the node drops
-        its application hook and neighbor oracles, which close over the
-        traffic sink and the other nodes.  The layers and their counters
-        stay readable; a closed node must not run again.
+        its application hook, its view of the other nodes and its
+        neighbor lookup, which reach the traffic sink and the other nodes.
+        The layers and their counters stay readable; a closed node must
+        not run again.
         """
         self.phy.close()
         self.mac.close()
@@ -152,7 +162,8 @@ class Node:
         if self.routing is not None:
             self.routing.close()
         self.on_app_data = None
-        self._neighbor_modes.clear()
+        self._peers = None
+        self._neighbor_power = None
 
     def start(self) -> None:
         """Begin protocol operation (proactive dumps, coordinator election)."""

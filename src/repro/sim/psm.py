@@ -14,6 +14,14 @@ ATIM frames are modeled deterministically: announcement success is assumed
 charged as control energy to both parties, so ATIM overhead appears in
 ``E_control``.
 
+The scheduler keeps one record per member: its PHY, MAC and MAC queue, the
+power-management mode recorded at :meth:`PsmScheduler.register` and
+updated by the :meth:`PsmScheduler.on_mode_change` push that every power
+manager makes on each switch, and the per-interval flags.  The beacon pass
+reads those fields directly, so an idle power-save member costs five Python
+calls per beacon: ``Phy.wake`` and ``Phy.sleep`` and the three ledger
+charges they make (sleep, switch and idle).
+
 The *Span-style improvements* the paper evaluates
 (``DSDVH-ODPM(0.6,1.2)-Span``) are available as ``advertised_window=True``:
 each broadcast is advertised individually and an awakened node may go back to
@@ -25,8 +33,9 @@ sleeps early misses traffic that arrives later in the interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.radio import PowerMode, RadioState
 from repro.sim.engine import Simulator
@@ -48,7 +57,11 @@ _ATIM_ACK = PacketKind.ATIM_ACK
 class _Member:
     phy: Phy
     mac: Mac
-    mode: Callable[[], PowerMode]
+    #: The MAC's transmit queue (the deque itself, never replaced), read
+    #: with ``mac._current`` as "has pending frames" without a call.
+    queue: deque
+    #: The node's power-management mode, pushed by ``on_mode_change``.
+    mode: PowerMode
     awake_this_interval: bool = False
     expected_broadcasts: int = 0
     #: ATIM / ATIM-ACK airtimes in seconds, precomputed at registration so
@@ -93,17 +106,18 @@ class PsmScheduler:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(
-        self, phy: Phy, mac: Mac, mode: Callable[[], PowerMode]
-    ) -> None:
-        """Attach a node.  ``mode`` reads the node's power-management state.
+    def register(self, phy: Phy, mac: Mac, mode: PowerMode) -> None:
+        """Attach a node whose power manager is in ``mode`` now.
 
-        Installs this scheduler as the MAC's ``peer_awake`` oracle.
+        Every later mode switch must reach :meth:`on_mode_change` (nodes
+        wire their power manager's upcall to it).  Installs this scheduler
+        as the MAC's ``peer_awake`` oracle.
         """
         bandwidth = phy.card.bandwidth
         member = _Member(
             phy=phy,
             mac=mac,
+            queue=mac._queue,
             mode=mode,
             atim_airtime=FRAME_SIZES[_ATIM] * 8 / bandwidth,
             ack_airtime=FRAME_SIZES[_ATIM_ACK] * 8 / bandwidth,
@@ -124,8 +138,8 @@ class PsmScheduler:
     def close(self) -> None:
         """Drop the member table (end of a run).
 
-        Members hold the nodes' MACs and mode getters, whose oracles point
-        back at this scheduler; clearing the table breaks those cycles.
+        Members hold the nodes' MACs, whose oracles point back at this
+        scheduler; clearing the table breaks those cycles.
         """
         self._members.clear()
 
@@ -142,12 +156,9 @@ class PsmScheduler:
             # would hide the failure from the MAC forever; transmit, burn
             # the retries, and let on_link_failure trigger route repair.
             return True
-        if member.mode() is _ACTIVE:
+        if member.mode is _ACTIVE:
             return True
         return member.awake_this_interval or self._in_atim
-
-    def node_awake(self, node_id: int) -> bool:
-        return not self._members[node_id].phy.asleep
 
     def broadcast_clear(self, sender: int) -> bool:
         """May ``sender`` transmit a broadcast now?
@@ -168,10 +179,12 @@ class PsmScheduler:
         return True
 
     def on_mode_change(self, node_id: int, mode: PowerMode) -> None:
-        """Power-manager upcall: wake a node that just entered active mode."""
+        """Power-manager upcall: record the new mode, and wake a node that
+        just entered active mode."""
         member = self._members.get(node_id)
         if member is None:
             return
+        member.mode = mode
         if mode is _ACTIVE:
             member.phy.wake()
             member.mac.kick()
@@ -195,7 +208,7 @@ class PsmScheduler:
         for member in self._members.values():
             member.awake_this_interval = False
             member.expected_broadcasts = 0
-            if member.mode() is _POWER_SAVE:
+            if member.mode is _POWER_SAVE:
                 member.phy.wake()
         self._announce()
         self.sim.schedule(self.atim_window, self._end_of_atim, priority=-1)
@@ -209,7 +222,7 @@ class PsmScheduler:
                 # MAC must not charge its (halted) battery or wake peers.
                 continue
             mac = member.mac
-            if not mac.has_pending():
+            if not member.queue and mac._current is None:
                 continue  # nothing buffered, nothing to announce
             announced = False
             atim_airtime = member.atim_airtime
@@ -217,7 +230,7 @@ class PsmScheduler:
             for dst in mac.pending_unicast_destinations():
                 peer = self._members.get(dst)
                 if peer is None or peer.phy.failed or (
-                    peer.mode() is _ACTIVE
+                    peer.mode is _ACTIVE
                 ):
                     # AM peers need no announcement; failed peers get none
                     # (the sender still stays up so the MAC can transmit
@@ -237,7 +250,7 @@ class PsmScheduler:
                 for neighbor_id in member.phy.channel.neighbors(node_id):
                     peer = self._members.get(neighbor_id)
                     if peer is None or peer.phy.failed or (
-                        peer.mode() is _ACTIVE
+                        peer.mode is _ACTIVE
                     ):
                         continue
                     self.atim_announcements += 1
@@ -246,7 +259,7 @@ class PsmScheduler:
                         peer.expected_broadcasts += 1
                     else:
                         peer.awake_this_interval = True
-            if announced and member.mode() is _POWER_SAVE:
+            if announced and member.mode is _POWER_SAVE:
                 member.awake_this_interval = True
 
     def _end_of_atim(self) -> None:
@@ -266,19 +279,22 @@ class PsmScheduler:
         sleeps unless it was announced traffic, still expects an advertised
         broadcast, has buffered frames of its own (it stays up so they can
         be announced and sent as soon as the destination is available) or
-        its radio is not idle.  The cheap checks come before the mode
-        oracle.  Returns the MACs with pending frames, in member order.
+        its radio is not idle.  Every check reads a field — the member's
+        recorded mode, its MAC queue and current frame, the radio state —
+        so the only calls left for an idle member are ``Phy.sleep`` and
+        the idle charge it makes.  Returns the MACs with pending frames,
+        in member order.
         """
         pending = []
         for member in members:
             mac = member.mac
-            if mac.has_pending():
+            if member.queue or mac._current is not None:
                 pending.append(mac)
                 continue
             if member.awake_this_interval or member.expected_broadcasts > 0:
                 continue
             phy = member.phy
-            if phy.state is _IDLE and member.mode() is _POWER_SAVE:
+            if phy._state is _IDLE and member.mode is _POWER_SAVE:
                 phy.sleep()
         return pending
 
@@ -297,7 +313,7 @@ class NoPsm:
         self.beacons = 0
         self.atim_announcements = 0
 
-    def register(self, phy: Phy, mac: Mac, mode: Callable[[], PowerMode]) -> None:
+    def register(self, phy: Phy, mac: Mac, mode: PowerMode) -> None:
         mac.peer_awake = lambda dst: True
 
     def start(self) -> None:

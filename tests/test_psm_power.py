@@ -27,7 +27,7 @@ def build_psm_pair(
     for node_id in (0, 1):
         phy = Phy(sim, channel, node_id, CABLETRON, NodeEnergy(card=CABLETRON))
         mac = Mac(sim, phy, rts_enabled=False)
-        psm.register(phy, mac, lambda n=node_id: modes[n])
+        psm.register(phy, mac, modes[node_id])
         members[node_id] = (phy, mac)
     psm.start()
     return sim, psm, members, modes
@@ -87,17 +87,19 @@ class TestPsmCycle:
             assert awake_fraction < 0.2
 
     def test_peer_awake_oracle(self):
+        """The oracle answers from the mode the power manager pushed."""
         sim, psm, members, modes = build_psm_pair()
         sim.run(until=ATIM_WINDOW + 0.05)  # both asleep now
         assert not psm.peer_awake(1)
-        modes[1] = PowerMode.ACTIVE
+        psm.on_mode_change(1, PowerMode.ACTIVE)
         assert psm.peer_awake(1)
+        psm.on_mode_change(1, PowerMode.POWER_SAVE)
+        assert not psm.peer_awake(1)
 
     def test_mode_change_wakes_node(self):
         sim, psm, members, modes = build_psm_pair()
         sim.run(until=ATIM_WINDOW + 0.05)
         assert members[1][0].asleep
-        modes[1] = PowerMode.ACTIVE
         psm.on_mode_change(1, PowerMode.ACTIVE)
         assert not members[1][0].asleep
 
