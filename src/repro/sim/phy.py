@@ -234,22 +234,22 @@ class Phy:
             return
         if state is _TRANSMIT:
             raise RuntimeError("cannot sleep while transmitting")
+        now = self.sim.now
+        elapsed = now - self._state_since
+        self._state_since = now
         rx_packets = self._rx_packets
+        if elapsed > 0:
+            if state is _IDLE:
+                self.energy.charge_idle(elapsed)
+            else:
+                # Charged while the frames in flight are still listed, so
+                # the period books by the frame that started it.
+                self._charge_receive(elapsed)
         if rx_packets:
             missed = self._rx_missed
             for packet in rx_packets:
                 missed.add(packet.uid)
             rx_packets.clear()
-        now = self.sim.now
-        elapsed = now - self._state_since
-        self._state_since = now
-        if elapsed > 0:
-            if state is _IDLE:
-                self.energy.charge_idle(elapsed)
-            else:
-                # The frames in flight were dropped above, so a receive
-                # period books as control_rx whatever frame started it.
-                self._charge_receive(elapsed)
         self._state = _SLEEP
 
     def wake(self) -> None:
@@ -287,11 +287,13 @@ class Phy:
         self._halt_energy = self._halt_energy or stop_energy
         if self._state is _TRANSMIT:
             return  # tx_end() will park the radio (and halt, if asked)
+        if self._state is not _SLEEP:
+            # Charges a receive period by the frame that started it,
+            # before the frames in flight are dropped below.
+            self._set_state(_SLEEP)
         for packet in self._rx_packets:
             self._rx_missed.add(packet.uid)
         self._rx_packets.clear()
-        if self._state is not _SLEEP:
-            self._set_state(_SLEEP)
         if self._halt_energy:
             self._charge_elapsed()
             self._state_since = float("inf")
@@ -324,14 +326,16 @@ class Phy:
             reach = card.max_range
             self._tx_distance = None
         duration = packet.size_bits / card.bandwidth
-        # Receptions in progress are trampled by our own transmission.
+        # Charge the period that ends first (a receive period books by the
+        # frame that started it); receptions in progress are then trampled
+        # by our own transmission.
+        self._set_state(_TRANSMIT)
         rx_packets = self._rx_packets
         if rx_packets:
             missed = self._rx_missed
             for rx in rx_packets:
                 missed.add(rx.uid)
             rx_packets.clear()
-        self._set_state(_TRANSMIT)
         self._tx_packet = packet
         self.frames_sent += 1
         self.channel.begin_transmission(self.node_id, packet, duration, reach)

@@ -325,23 +325,28 @@ class TestSleepWakeCharges:
         listener.wake()  # already awake: no charge
         assert energy.calls == [("switch", 1)]
 
-    @pytest.mark.parametrize("stop", ["sleep", "fail"])
-    def test_stop_mid_data_reception_books_control_rx(self, stop):
-        """Pins today's classification: ``sleep()`` and ``fail()`` drop the
-        frames in flight before they charge the receive period, so a
-        period that a DATA frame started books as ``control_rx``."""
+    @pytest.mark.parametrize("stop", ["sleep", "fail", "transmit"])
+    def test_stop_mid_data_reception_books_data_rx(self, stop):
+        """``sleep()``, ``fail()`` and ``transmit()`` charge the receive
+        period they end before they drop the frames in flight, so a period
+        that a DATA frame started books as ``data_rx``."""
         sim, sender, listener, energy = self._pair()
         frame = make_data_packet(origin=0, final_dst=1, src=0, dst=1,
                                  payload_bytes=512)
         airtime = frame.size_bits / CABLETRON.bandwidth
+        if stop == "transmit":
+            reply = make_control_packet(PacketKind.RTS, src=1, dst=0)
+            interrupt = lambda: listener.transmit(reply)  # noqa: E731
+        else:
+            interrupt = getattr(listener, stop)
         sim.schedule(1.0, lambda: sender.transmit(frame))
-        sim.schedule(1.0 + airtime / 2, getattr(listener, stop))
+        sim.schedule(1.0 + airtime / 2, interrupt)
         sim.run(until=2.0)
         names = [name for name, _ in energy.calls]
-        assert names == ["idle", "control_rx"]
+        assert names == ["idle", "data_rx"]
         assert energy.calls[0][1] == pytest.approx(1.0)
         assert energy.calls[1][1] == pytest.approx(airtime / 2)
-        assert energy.data_rx == 0.0
+        assert energy.control_rx == 0.0
         assert listener.frames_received == 0
 
 
