@@ -58,13 +58,6 @@ class Solution:
     def subgraph_nodes(self) -> set[int]:
         return {node for path in self.paths.values() for node in path}
 
-    def subgraph_edges(self) -> set[tuple[int, int]]:
-        edges: set[tuple[int, int]] = set()
-        for path in self.paths.values():
-            for u, v in zip(path, path[1:]):
-                edges.add((min(u, v), max(u, v)))
-        return edges
-
     def relays(self) -> set[int]:
         """Nodes on some path that are neither a source nor a destination."""
         endpoints = {

@@ -321,11 +321,6 @@ class RouteEnergyEvaluator:
         (x1, y1), (x2, y2) = self.positions[u], self.positions[v]
         return ((x1 - x2) ** 2 + (y1 - y2) ** 2) ** 0.5
 
-    def _tx_power(self, u: int, v: int) -> float:
-        if self.power_control:
-            return self.card.transmit_power(self._distance(u, v))
-        return self.card.p_tx_max
-
     def evaluate(
         self,
         routes: Sequence[FlowRoute],

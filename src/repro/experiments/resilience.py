@@ -334,13 +334,6 @@ class SweepManifest:
         if flush:
             self.flush()
 
-    def mark_pending(self, cell: "GridCell", flush: bool = True) -> None:
-        entry = self._entry(cell)
-        entry.clear()
-        entry["state"] = PENDING
-        if flush:
-            self.flush()
-
     def note_done(self, cells: Sequence["GridCell"]) -> None:
         """Mark many cells done with a single flush (cache-hit partition)."""
         for cell in cells:

@@ -90,9 +90,3 @@ class Odpm(PowerManager):
 
     def _expire(self) -> None:
         self._switch(_POWER_SAVE)
-
-    @property
-    def keepalive_expires_at(self) -> float | None:
-        """Absolute expiry of the current keep-alive (simulation seconds),
-        or None in PSM."""
-        return self._keepalive.expires_at
