@@ -11,6 +11,7 @@ import pytest
 from repro.core.radio import CABLETRON, HYPOTHETICAL_CABLETRON, MICA2, RadioModel
 from repro.net.topology import Placement, grid_placement, uniform_random_placement
 from repro.sim.network import NetworkConfig, WirelessNetwork
+from repro.sim.psm import PsmScheduler
 from repro.traffic.flows import FlowSpec
 import smoke_pins
 
@@ -83,15 +84,25 @@ class SmokeRun:
     events: int
     #: Objects the cyclic collector found after the cell, collector paused.
     garbage: int
+    #: PSM beacons seen, and (member, beacon) pairs checked at them.
+    beacons: int
+    mode_checks: int
+    #: Pairs whose scheduler-recorded mode differed from the node's
+    #: power manager.
+    mode_mismatches: int
 
 
 class SmokeRuns:
     """Each cell of ``smoke_pins.CELLS`` run at most once per session.
 
-    The teardown tests (no cyclic garbage) and the pin table
-    (``tests/test_smoke_pins.py``) read the same run, so tier-1 pays for
+    The teardown tests (no cyclic garbage), the pin table
+    (``tests/test_smoke_pins.py``) and the PSM mode-record check
+    (``tests/test_psm_power.py``) read the same run, so tier-1 pays for
     each cell once.  A run starts from a collected heap with the
-    collector paused, as ``tests/test_teardown.py`` requires.
+    collector paused, as ``tests/test_teardown.py`` requires.  At every
+    beacon it compares each member's recorded mode with its node's power
+    manager; the check only reads, and holds no reference to the network
+    once the run is over.
     """
 
     def __init__(self) -> None:
@@ -105,17 +116,43 @@ class SmokeRuns:
 
     @staticmethod
     def _run(cell_id: str) -> SmokeRun:
-        gc.collect()
-        gc.disable()
-        try:
-            result = smoke_pins.run_cell(cell_id)
-            garbage = gc.collect()
-        finally:
-            gc.enable()
+        running: list[WirelessNetwork] = []
+        seen = {"beacons": 0, "checks": 0, "mismatches": 0}
+        network_run = WirelessNetwork.run
+        beacon = PsmScheduler._beacon
+
+        def tracked_run(network):
+            running.append(network)
+            try:
+                return network_run(network)
+            finally:
+                running.clear()
+
+        def checked_beacon(psm):
+            seen["beacons"] += 1
+            for node_id, node in running[-1].nodes.items():
+                seen["checks"] += 1
+                if psm._members[node_id].mode is not node.power.mode:
+                    seen["mismatches"] += 1
+            beacon(psm)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WirelessNetwork, "run", tracked_run)
+            patch.setattr(PsmScheduler, "_beacon", checked_beacon)
+            gc.collect()
+            gc.disable()
+            try:
+                result = smoke_pins.run_cell(cell_id)
+                garbage = gc.collect()
+            finally:
+                gc.enable()
         return SmokeRun(
             digest=smoke_pins.digest(result),
             events=result.events_processed,
             garbage=garbage,
+            beacons=seen["beacons"],
+            mode_checks=seen["checks"],
+            mode_mismatches=seen["mismatches"],
         )
 
 

@@ -115,6 +115,29 @@ class TestWirelessNetworkAssembly:
         net = build_network(tiny_placement, "DSR-ODPM", tiny_flow())
         assert net.nodes[0].neighbor_mode(999) is PowerMode.ACTIVE
 
+    def test_neighbor_mode_answers_for_assembly_neighbors(self):
+        """First asked after moves, a node still answers for the nodes in
+        range at assembly: live modes for them, active for the rest."""
+        placement = Placement(
+            {0: (0.0, 0.0), 1: (150.0, 0.0), 2: (900.0, 0.0)}, 900.0, 1.0
+        )
+        net = build_network(placement, "DSR-ODPM", tiny_flow())
+        node = net.nodes[0]
+        assert node._neighbor_power is None  # assembly built no lookup
+        net.channel.update_position(1, (600.0, 0.0))
+        net.channel.update_position(2, (100.0, 0.0))
+        assert net.channel.neighbors(0) == [2]
+        assert node.neighbor_mode(1) is PowerMode.POWER_SAVE
+        assert node.neighbor_mode(2) is PowerMode.ACTIVE
+        net.nodes[1].power.notify_data_activity()
+        assert node.neighbor_mode(1) is PowerMode.ACTIVE
+        assert set(node._neighbor_power) == {1}
+
+    def test_assembly_builds_no_tables_or_lookups(self, tiny_placement):
+        net = build_network(tiny_placement, "TITAN-PC", tiny_flow())
+        assert len(net.channel._tables) == 0
+        assert all(node._neighbor_power is None for node in net.nodes.values())
+
     def test_relays_used_counts_forwarders(self, tiny_placement):
         net = build_network(tiny_placement, "DSR-Active", tiny_flow(),
                             duration=20.0)

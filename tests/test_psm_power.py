@@ -8,9 +8,11 @@ from repro.power import AlwaysActive, AlwaysPsm, Odpm, OdpmConfig
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.mac import Mac
+from repro.sim.network import PROTOCOLS
 from repro.sim.packet import make_data_packet
 from repro.sim.phy import Phy
 from repro.sim.psm import ATIM_WINDOW, BEACON_INTERVAL, NoPsm, PsmScheduler
+from smoke_pins import CELLS as SMOKE_CELLS
 
 
 def build_psm_pair(
@@ -113,6 +115,95 @@ class TestPsmCycle:
         psm.start()
         with pytest.raises(RuntimeError):
             psm.start()
+
+
+class TestModeRecord:
+    """The scheduler learns modes only from the power managers' pushes."""
+
+    @pytest.mark.parametrize("cell_id", list(SMOKE_CELLS), ids=list(SMOKE_CELLS))
+    def test_record_matches_power_manager_at_every_beacon(
+        self, smoke_runs, cell_id
+    ):
+        run = smoke_runs[cell_id]
+        protocol = SMOKE_CELLS[cell_id][2]
+        if PROTOCOLS[protocol].power_save:
+            assert run.beacons > 0
+            assert run.mode_checks >= run.beacons
+        else:
+            assert run.beacons == 0
+        assert run.mode_mismatches == 0
+
+
+class TestCampaignShapeCell:
+    """A sparse 500-node cell whose flows all start after the horizon
+    (the perfbench ``campaign`` shape) pays for no neighbor table, no
+    neighbor lookup and no per-member call in the beacon pass beyond
+    the radio's own ``wake``/``sleep``."""
+
+    @staticmethod
+    def _config(protocol):
+        from repro.experiments.scenarios import Scenario
+
+        scenario = Scenario(
+            name="campaign-shape",
+            node_count=500,
+            field_size=3300.0,
+            flow_count=10,
+            rates_kbps=(2.0,),
+            duration=2.0,
+            runs=1,
+            protocols=(protocol,),
+        ).with_fixed_placement(1)
+        return scenario.config(protocol, 2.0, 1)
+
+    @pytest.mark.parametrize("protocol", ["DSR-ODPM", "TITAN-PC"])
+    def test_idle_cell_reads_no_table_lookup_or_member_state(
+        self, monkeypatch, protocol
+    ):
+        import gc
+
+        from repro.power.manager import PowerManager
+        from repro.sim.network import WirelessNetwork
+
+        config = self._config(protocol)
+        assert all(flow.start >= config.duration for flow in config.flows)
+        calls = {"mode": 0, "has_pending": 0, "state": 0}
+
+        def counted_property(name, prop):
+            def getter(self):
+                calls[name] += 1
+                return prop.fget(self)
+
+            return property(getter)
+
+        has_pending = Mac.has_pending
+
+        def counted_has_pending(mac):
+            calls["has_pending"] += 1
+            return has_pending(mac)
+
+        network = WirelessNetwork(config)
+        monkeypatch.setattr(
+            PowerManager, "mode", counted_property("mode", PowerManager.mode)
+        )
+        monkeypatch.setattr(Phy, "state", counted_property("state", Phy.state))
+        monkeypatch.setattr(Mac, "has_pending", counted_has_pending)
+        gc.collect()
+        gc.disable()
+        try:
+            network.run()
+            assert network.psm.beacons == 7
+            assert calls == {"mode": 0, "has_pending": 0, "state": 0}
+            assert len(network.channel._tables) == 0
+            assert all(
+                node._neighbor_power is None
+                for node in network.nodes.values()
+            )
+            network.close()
+            del network
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBroadcastClear:

@@ -13,6 +13,10 @@ one bucket).  This module asserts exactly that, three ways:
 * :class:`TestIndexedMobilityRepair` — ``update_position`` through the
   live ``_SpatialIndex`` equals a fresh brute-force freeze after every
   move, extending the PR 3 pattern of ``tests/test_mobility.py``;
+* :class:`TestTablesOnFirstUse` — a frozen channel resolves each table
+  the first time it is read: before any move it equals the geometry's
+  table, and tables first read after moves equal a fresh brute-force
+  freeze, with ``link_changes`` the running count of changed links;
 * :class:`TestStaleGeometryWarning` — a rejected prebuilt geometry is
   *correct* (the ignore path) and now *observable* (the
   ``geometry_mismatches`` counter, surfaced as ``RunResult.warnings``).
@@ -213,6 +217,25 @@ def _negative_coordinates() -> dict[int, tuple[float, float]]:
     }
 
 
+#: Scenario presets whose seed-1 placements the equivalence tests freeze.
+PRESET_PLACEMENTS = [
+    "small_network",
+    "large_network",
+    "density_network-300",
+    "density_network-400",
+    "grid_network",
+    "large_grid-256",
+]
+
+
+def _preset_positions(preset: str):
+    """``(positions, max_range)`` of a :data:`PRESET_PLACEMENTS` entry."""
+    name, _, count = preset.partition("-")
+    factory = getattr(scenarios, name)
+    scenario = factory(int(count)) if count else factory()
+    return scenario.placement(1).positions, scenario.card.max_range
+
+
 ADVERSARIAL_SETS = {
     "collinear": _collinear,
     "duplicate-distances": _duplicate_distances,
@@ -299,26 +322,12 @@ class TestGeometryEquivalence:
         grid = ChannelGeometry.from_positions(positions, reach, method="grid")
         _assert_same_geometry(brute, grid)
 
-    @pytest.mark.parametrize(
-        "preset",
-        [
-            "small_network",
-            "large_network",
-            "density_network-300",
-            "density_network-400",
-            "grid_network",
-            "large_grid-256",
-        ],
-    )
+    @pytest.mark.parametrize("preset", PRESET_PLACEMENTS)
     def test_preset_placements_identical(self, preset):
         """The placements the experiments actually freeze: the paper's
         fields and grid, and a sensor lattice spaced inside the Mica2
         range (exact-distance ties on every row)."""
-        name, _, count = preset.partition("-")
-        factory = getattr(scenarios, name)
-        scenario = factory(int(count)) if count else factory()
-        positions = scenario.placement(1).positions
-        reach = scenario.card.max_range
+        positions, reach = _preset_positions(preset)
         brute = ChannelGeometry.from_positions(
             positions, reach, method="bruteforce"
         )
@@ -516,6 +525,138 @@ class TestIndexedMobilityRepair:
             changed += len(links ^ fresh_links)
             links = fresh_links
             assert channel.link_changes == changed, step
+
+
+def _random_moves(positions, count, seed, span):
+    """``count`` moves of random nodes to random points of ``[0, span)^2``."""
+    rng = random.Random(seed)
+    ids = list(positions)
+    return [
+        (rng.choice(ids), (rng.uniform(0, span), rng.uniform(0, span)))
+        for _ in range(count)
+    ]
+
+
+def _link_churn(live, registered, moves):
+    """Apply ``moves`` to ``live``; return the number of links created or
+    broken, by direct distance.  A link joins a moving ``registered`` node
+    to any placed node, since every placed node's table lists the
+    registered nodes in its range."""
+    registered = set(registered)
+    changed = 0
+    for mover, target in moves:
+        def linked(position):
+            x1, y1 = position
+            return {
+                other
+                for other in live
+                if other != mover
+                and math.hypot(x1 - live[other][0], y1 - live[other][1])
+                <= RANGE
+            }
+
+        if mover in registered:
+            changed += len(linked(live[mover]) ^ linked(target))
+        live[mover] = target
+    return changed
+
+
+class TestTablesOnFirstUse:
+    """A frozen channel resolves each neighbor table when it is first
+    read; the answer must not depend on when that happens."""
+
+    @pytest.mark.parametrize("preset", PRESET_PLACEMENTS)
+    def test_first_use_equals_geometry_table(self, preset):
+        positions, reach = _preset_positions(preset)
+        geometry = ChannelGeometry.from_positions(positions, reach)
+        channel = _build_channel(dict(positions), reach)
+        assert len(channel._tables) == 0  # the freeze resolved nothing
+        order = list(positions)
+        random.Random(preset).shuffle(order)
+        for node_id in order:
+            assert _table_snapshot(channel, node_id) == _geometry_snapshot(
+                geometry, node_id
+            ), node_id
+        assert len(channel._tables) == len(positions)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
+    def test_tables_resolved_after_moves_match_fresh_freeze(self, name):
+        """Moves with no table read in between: the tables the moves did
+        not touch are first resolved afterwards, from the frozen geometry."""
+        positions = ADVERSARIAL_SETS[name]()
+        channel = _build_channel(dict(positions))
+        moves = _random_moves(positions, 12, "lazy/" + name, 4 * RANGE)
+        live = dict(positions)
+        changed = _link_churn(live, list(positions), moves)
+        for mover, target in moves:
+            channel.update_position(mover, target)
+        fresh = ChannelGeometry.from_positions(live, RANGE, method="bruteforce")
+        for node_id in positions:
+            assert _table_snapshot(channel, node_id) == _geometry_snapshot(
+                fresh, node_id
+            ), node_id
+        assert channel.link_changes == changed
+
+    def test_sparse_field_resolves_only_the_tables_moves_touch(self):
+        """On a sparse field most tables stay unresolved through the moves
+        and still come out equal to a fresh brute-force freeze."""
+        rng = random.Random(37)
+        span = 20 * RANGE
+        positions = {
+            i: (rng.uniform(0, span), rng.uniform(0, span)) for i in range(300)
+        }
+        channel = _build_channel(dict(positions))
+        moves = _random_moves(positions, 10, 41, span)
+        live = dict(positions)
+        changed = _link_churn(live, list(positions), moves)
+        for mover, target in moves:
+            channel.update_position(mover, target)
+        assert len(channel._tables) < len(positions) // 2
+        fresh = ChannelGeometry.from_positions(live, RANGE, method="bruteforce")
+        for node_id in positions:
+            assert _table_snapshot(channel, node_id) == _geometry_snapshot(
+                fresh, node_id
+            ), node_id
+        assert changed > 0
+        assert channel.link_changes == changed
+
+    def test_partial_registration_resolved_after_moves(self):
+        """Placed nodes without a PHY resolve through the bucket index;
+        resolved after moves, every table still equals a direct scan."""
+        rng = random.Random(43)
+        span = 12 * RANGE
+        positions = {
+            i: (rng.uniform(0, span), rng.uniform(0, span)) for i in range(120)
+        }
+        registered = [i for i in positions if i % 3][::-1]
+        channel = _register(dict(positions), registered)
+        moves = _random_moves(positions, 8, 47, span)
+        live = dict(positions)
+        changed = _link_churn(live, registered, moves)
+        for mover, target in moves:
+            channel.update_position(mover, target)
+        assert len(channel._tables) < len(positions)
+        for node_id in positions:
+            table = channel._tables[node_id]
+            assert (table.dists, table.ids) == _direct_table(
+                live, registered, node_id
+            ), node_id
+        assert channel.link_changes == changed
+
+    def test_frozen_neighbors_ignore_moves(self):
+        channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (900.0, 0.0)})
+        channel.update_position(1, (600.0, 0.0))
+        channel.update_position(2, (50.0, 0.0))
+        assert channel.neighbors(0) == [2]
+        assert channel.frozen_neighbors(0) == (1,)
+        assert channel.frozen_neighbors(2) == ()
+
+    def test_close_drops_the_table_map(self):
+        channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
+        channel.neighbors(0)
+        channel.close()
+        assert channel._tables == {}
+        assert type(channel._tables) is dict
 
 
 class TestRegistrationOrderFreeze:
