@@ -14,13 +14,14 @@ ATIM frames are modeled deterministically: announcement success is assumed
 charged as control energy to both parties, so ATIM overhead appears in
 ``E_control``.
 
-The scheduler keeps one record per member: its PHY, MAC and MAC queue, the
+The scheduler keeps one record per member: its PHY and MAC, the
 power-management mode recorded at :meth:`PsmScheduler.register` and
 updated by the :meth:`PsmScheduler.on_mode_change` push that every power
 manager makes on each switch, and the per-interval flags.  The beacon pass
-reads those fields directly, so an idle power-save member costs five Python
-calls per beacon: ``Phy.wake`` and ``Phy.sleep`` and the three ledger
-charges they make (sleep, switch and idle).
+reads that record, the MAC's queue and the radio state as fields, so an
+idle power-save member costs five Python calls per beacon: ``Phy.wake``
+and ``Phy.sleep`` and the three ledger charges they make (sleep, switch
+and idle).
 
 The *Span-style improvements* the paper evaluates
 (``DSDVH-ODPM(0.6,1.2)-Span``) are available as ``advertised_window=True``:
@@ -33,7 +34,6 @@ sleeps early misses traffic that arrives later in the interval.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,9 +57,6 @@ _ATIM_ACK = PacketKind.ATIM_ACK
 class _Member:
     phy: Phy
     mac: Mac
-    #: The MAC's transmit queue (the deque itself, never replaced), read
-    #: with ``mac._current`` as "has pending frames" without a call.
-    queue: deque
     #: The node's power-management mode, pushed by ``on_mode_change``.
     mode: PowerMode
     awake_this_interval: bool = False
@@ -117,7 +114,6 @@ class PsmScheduler:
         member = _Member(
             phy=phy,
             mac=mac,
-            queue=mac._queue,
             mode=mode,
             atim_airtime=FRAME_SIZES[_ATIM] * 8 / bandwidth,
             ack_airtime=FRAME_SIZES[_ATIM_ACK] * 8 / bandwidth,
@@ -222,7 +218,7 @@ class PsmScheduler:
                 # MAC must not charge its (halted) battery or wake peers.
                 continue
             mac = member.mac
-            if not member.queue and mac._current is None:
+            if not mac._queue and mac._current is None:
                 continue  # nothing buffered, nothing to announce
             announced = False
             atim_airtime = member.atim_airtime
@@ -288,7 +284,7 @@ class PsmScheduler:
         pending = []
         for member in members:
             mac = member.mac
-            if member.queue or mac._current is not None:
+            if mac._queue or mac._current is not None:
                 pending.append(mac)
                 continue
             if member.awake_this_interval or member.expected_broadcasts > 0:
