@@ -642,19 +642,16 @@ class Channel:
         old_position = self.positions[node_id]
         tables = self._tables
         phy = self._phys.get(node_id)
-        # Resolve every table the move can patch while the positions still
-        # describe the layout before it: a table first resolved after the
-        # write below would already hold the move, and the link it gains or
-        # loses would go uncounted.
-        affected = (
-            [
-                (other, tables[other])
-                for other in spatial.near((old_position, position))
-                if other != node_id
-            ]
-            if phy is not None
-            else ()
-        )
+        near = spatial.near((old_position, position)) if phy is not None else ()
+        if len(tables) < len(self.positions):
+            # Resolve every table the move can patch before the write
+            # below.  A table built through the bucket index (a placed node
+            # without a PHY) reads live positions: resolved after the write
+            # it would already hold the move, and the link it gains or
+            # loses would go uncounted.  (Tables from the frozen geometry
+            # would come out right either way.)
+            for other in near:
+                tables[other]
         self._distance_cache.clear()
         self.positions[node_id] = position
         spatial.move(node_id, position)
@@ -662,7 +659,10 @@ class Channel:
             rank = self._ranks[node_id]
             max_range = self.max_range
             distance = self.distance
-            for other, table in affected:
+            for other in near:
+                if other == node_id:
+                    continue
+                table = tables[other]
                 dist = distance(other, node_id)
                 slot = bisect_right(table.ranks, rank) - 1
                 present = slot >= 0 and table.ranks[slot] == rank
