@@ -16,9 +16,10 @@ This module splits the policy from the layout:
   and payload decoding stay in ``ResultStore``, so every integrity
   guarantee is backend-agnostic by construction.
 * :class:`LocalJsonBackend` — the historical layout, byte-identical:
-  the same paths, the same ``json.dump(..., sort_keys=True)`` file bytes,
-  the same ``.<key>.<pid>.tmp`` staging and ``*.json.quarantine``
-  renames.  The default, and what every pinned digest test runs against.
+  the same paths, the same ``sort_keys=True`` file bytes (once written
+  by ``json.dump``, now by ``json.dumps``), the same
+  ``.<key>.<pid>.tmp`` staging and ``*.json.quarantine`` renames.  The
+  default, and what every pinned digest test runs against.
 * :class:`SqliteBackend` — one ``store.sqlite`` file per campaign
   (WAL journal, so concurrent sweeps on one box stay safe), holding the
   *same* canonical-JSON entry dicts under the *same* sha256 keys.
@@ -166,9 +167,11 @@ class LocalJsonBackend(StoreBackend):
     """The historical one-file-per-entry layout, byte-for-byte.
 
     Entries live at ``<root>/<kind>/<key[:2]>/<key>.json`` as
-    ``json.dump(entry, sort_keys=True)`` (default separators — the exact
-    bytes every pre-backend store wrote), staged as ``.<key>.<pid>.tmp``
-    and published with :func:`os.replace`.  Quarantine renames to
+    ``json.dumps(entry, sort_keys=True)`` (default separators — the exact
+    bytes every pre-backend store wrote with ``json.dump``, whose
+    pure-Python encoder emits what the C encoder behind ``dumps`` does,
+    chunk by chunk), staged as ``.<key>.<pid>.tmp`` and published with
+    :func:`os.replace`.  Quarantine renames to
     ``<key>.json.quarantine``.  A pre-backend cache directory *is* a
     ``LocalJsonBackend`` store — there is no migration step.
     """
@@ -200,8 +203,9 @@ class LocalJsonBackend(StoreBackend):
         path = self.path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (".%s.%d.tmp" % (key, os.getpid()))
+        text = json.dumps(entry, sort_keys=True)
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, path)
 
     def keys(self, kind: str) -> list[str]:

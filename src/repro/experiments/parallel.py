@@ -26,7 +26,8 @@ A unit with a store writes each finished seed into the
 multi-process-safe store itself and returns ``(key, digest)``
 :class:`CellReceipt` triples, so IPC is O(digest) per cell instead of
 O(payload); the parent re-reads and digest-verifies every receipt before
-marking the manifest cell done, and a receipt that does not verify costs
+marking the manifest cell done (one manifest flush per recorded unit,
+covering its verified cells), and a receipt that does not verify costs
 its unit one attempt of the transient-retry budget
 (``FaultPolicy.max_retries``).  A unit without a store returns its
 results.  Pooled units are ordered **longest-expected-first** by a
@@ -1098,8 +1099,9 @@ def run_grid(
         retries, timeouts and fail-vs-continue.  Default: fail fast.
     manifest:
         Optional :class:`~repro.experiments.resilience.SweepManifest`
-        checkpoint; cell completions/failures are recorded as they
-        happen so an interrupted campaign can resume.
+        checkpoint, so an interrupted campaign can resume.  Failures are
+        recorded as they happen; completions once per finished unit,
+        with a single flush for all of its verified cells.
     failures:
         :class:`~repro.experiments.resilience.SweepFailureReport`
         collecting permanently-failed cells under
@@ -1184,9 +1186,11 @@ def run_grid(
             store.writes += len(done)
         for cell, result in done:
             results[cell] = result
-            if manifest is not None:
-                manifest.mark_done(cell)
         if done:
+            if manifest is not None:
+                # One flush per recorded unit, covering all its verified
+                # cells, before the next unit is recorded.
+                manifest.note_done([cell for cell, _ in done])
             reporter.note_events(events)
             reporter.advance(unit, cells=len(done))
         if rejected:

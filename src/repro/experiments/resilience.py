@@ -470,10 +470,11 @@ class SweepManifest:
             "scenario": self.fingerprint,
             "cells": self._states,
         }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.parent / (".%s.%d.tmp" % (self.path.name, os.getpid()))
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+            handle.write(text)
         os.replace(tmp, self.path)
 
 

@@ -11,12 +11,100 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.radio import RadioModel
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
+
+#: Relative slack on the cell windows.  A window spans the floor-divided
+#: cells of ``[coord - margin, coord + margin]`` with ``margin =
+#: max_range * (1 + _CANDIDATE_SLACK)``; the subtraction and division
+#: round, so without slack a neighbor at exactly ``max_range`` could fall
+#: one cell outside.  1e-9 relative is ~1e7 ulp — no true neighbor can be
+#: lost, and the few extra candidates fail the exact ``math.hypot`` check.
+_CANDIDATE_SLACK = 1e-9
+
+
+class _SpatialIndex:
+    """Cell list: grid-bucket membership of a set of positions.
+
+    Cells are ``max_range`` on a side.  :meth:`near` scans, per query
+    point, the cells of its *window* — the floor-divided cell range of
+    ``[coord - margin, coord + margin]`` per axis, ``margin = max_range *
+    (1 + _CANDIDATE_SLACK)``.  The window is computed per point, not as a
+    fixed 3x3 block around the point's own cell: float ``//`` is the exact
+    floor of the correctly rounded quotient, monotone in its numerator, and
+    the slack (~2.5e-7 m at 250 m range) exceeds the rounding of ``coord -
+    margin`` by orders of magnitude for any realistic field, so the window
+    provably covers every node within ``max_range``.
+
+    The one cell list of the package: :func:`_is_connected` builds one
+    per placement draw to search the unit-disk graph,
+    :meth:`repro.sim.channel.ChannelGeometry.from_positions` one per
+    freeze to find candidate pairs, and :class:`repro.sim.channel.Channel`
+    keeps one live after the first move, rebucketed by
+    :meth:`~repro.sim.channel.Channel.update_position`, so mobility repair
+    touches O(degree) tables instead of all N.
+    """
+
+    __slots__ = ("cell", "margin", "buckets", "cells")
+
+    def __init__(
+        self,
+        positions: Mapping[int, tuple[float, float]],
+        max_range: float,
+    ) -> None:
+        self.cell = max_range
+        self.margin = max_range * (1.0 + _CANDIDATE_SLACK)
+        self.buckets: dict[tuple[int, int], list[int]] = {}
+        self.cells: dict[int, tuple[int, int]] = {}
+        cell = self.cell
+        for node_id, (x, y) in positions.items():
+            key = (int(x // cell), int(y // cell))
+            self.cells[node_id] = key
+            self.buckets.setdefault(key, []).append(node_id)
+
+    def move(self, node_id: int, position: tuple[float, float]) -> None:
+        """Rebucket ``node_id`` at its new position."""
+        key = (int(position[0] // self.cell), int(position[1] // self.cell))
+        old = self.cells[node_id]
+        if key == old:
+            return
+        members = self.buckets[old]
+        members.remove(node_id)
+        if not members:
+            del self.buckets[old]
+        self.cells[node_id] = key
+        self.buckets.setdefault(key, []).append(node_id)
+
+    def near(self, points) -> list[int]:
+        """Nodes bucketed within range of any of ``points``.
+
+        Deterministic order (window scan order, bucket insertion order
+        within a cell) with each node listed once; callers sort what they
+        measure or patch independent per-node tables, so the order is
+        unobservable in results either way.
+        """
+        cell = self.cell
+        margin = self.margin
+        buckets = self.buckets
+        out: list[int] = []
+        seen_cells: set[tuple[int, int]] = set()
+        for x, y in points:
+            x_lo, x_hi = int((x - margin) // cell), int((x + margin) // cell)
+            y_lo, y_hi = int((y - margin) // cell), int((y + margin) // cell)
+            for a in range(x_lo, x_hi + 1):
+                for b in range(y_lo, y_hi + 1):
+                    key = (a, b)
+                    if key in seen_cells:
+                        continue
+                    seen_cells.add(key)
+                    members = buckets.get(key)
+                    if members:
+                        out.extend(members)
+        return out
 
 
 @dataclass(frozen=True)
@@ -80,26 +168,35 @@ def uniform_random_placement(
 def _is_connected(placement: Placement, max_range: float) -> bool:
     """Whether :func:`connectivity_graph` at ``max_range`` is connected.
 
-    A search over positions with the graph's edge rule
-    (``hypot(dx, dy) <= max_range``), without building the graph: each
-    reached node splits the unreached rest into its neighbours and the
-    others.  ``hypot`` ignores signs and float subtraction is
-    antisymmetric, so every pair decides exactly as the graph's does.
+    A depth-first search over positions with the graph's edge rule
+    (``hypot(dx, dy) <= max_range``), without building the graph, through
+    a cell list (:class:`_SpatialIndex`): a node leaves its bucket when
+    it is reached, so each reached node measures only the unreached
+    members of its cell window, O(N x degree) instead of O(N^2), and a
+    dense field empties its buckets within a few scans.  The window
+    holds every node within ``max_range``, ``hypot`` ignores signs and
+    float subtraction is antisymmetric, so every pair decides exactly as
+    the graph's does.
     """
     if max_range <= 0:
         raise ValueError("max_range must be positive")
+    positions = placement.positions
+    index = _SpatialIndex(positions, max_range)
+    near, buckets, cells = index.near, index.buckets, index.cells
     hypot = math.hypot
-    unreached = list(placement.positions.values())
-    frontier = [unreached.pop()]
+    start = next(iter(positions))
+    buckets[cells[start]].remove(start)
+    frontier = [start]
+    unreached = len(positions) - 1
     while frontier and unreached:
-        x, y = frontier.pop()
-        rest = []
-        for point in unreached:
-            if hypot(point[0] - x, point[1] - y) <= max_range:
-                frontier.append(point)
-            else:
-                rest.append(point)
-        unreached = rest
+        point = positions[frontier.pop()]
+        x, y = point
+        for other in near((point,)):
+            ox, oy = positions[other]
+            if hypot(ox - x, oy - y) <= max_range:
+                buckets[cells[other]].remove(other)
+                frontier.append(other)
+                unreached -= 1
     return not unreached
 
 

@@ -19,6 +19,10 @@ from repro.sim.engine import Simulator
 _ACTIVE = PowerMode.ACTIVE
 
 
+def _ignore_mode_change(node_id: int, mode: PowerMode) -> None:
+    """Default ``on_mode_change`` until a node wires its own."""
+
+
 class PowerManager:
     """Decides a single node's AM/PSM membership (§2.2).
 
@@ -35,7 +39,9 @@ class PowerManager:
         self.sim = sim
         self.node_id = node_id
         self._mode = self.initial_mode()
-        self.on_mode_change: Callable[[int, PowerMode], None] = lambda n, m: None
+        self.on_mode_change: Callable[[int, PowerMode], None] = (
+            _ignore_mode_change
+        )
         self.transitions = 0
 
     def initial_mode(self) -> PowerMode:

@@ -43,7 +43,7 @@ class NodeContext(Protocol):
     def neighbor_mode(self, neighbor: int) -> PowerMode: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingStats:
     """Per-node routing counters."""
 

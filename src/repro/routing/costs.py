@@ -49,12 +49,16 @@ class LinkCost(Protocol):
 
 @dataclass(frozen=True)
 class HopCount:
-    """Shortest-path metric: every hop costs 1 (DSR, TITAN)."""
+    """Shortest-path metric: every hop costs 1 (DSR, TITAN, DSDV)."""
 
     def __call__(
         self, distance: float, relay_mode: PowerMode, rate: float | None
     ) -> float:
         return 1.0
+
+
+#: The one stateless hop-count metric every DSR, TITAN and DSDV node shares.
+HOP_COUNT = HopCount()
 
 
 @dataclass(frozen=True)

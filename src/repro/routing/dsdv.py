@@ -8,7 +8,7 @@ substrate on which the paper builds its proactive joint optimization
 from __future__ import annotations
 
 from repro.routing.base import NodeContext
-from repro.routing.costs import HopCount
+from repro.routing.costs import HOP_COUNT
 from repro.routing.proactive import ProactiveProtocol
 
 
@@ -20,7 +20,7 @@ class Dsdv(ProactiveProtocol):
     def __init__(self, node: NodeContext, update_interval: float = 15.0) -> None:
         super().__init__(
             node,
-            cost=HopCount(),
+            cost=HOP_COUNT,
             update_interval=update_interval,
             trigger_on_mode_change=False,
         )

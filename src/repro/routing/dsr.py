@@ -10,7 +10,7 @@ energy of each chosen link without influencing route selection.
 from __future__ import annotations
 
 from repro.routing.base import NodeContext
-from repro.routing.costs import HopCount
+from repro.routing.costs import HOP_COUNT
 from repro.routing.reactive import ReactiveProtocol
 
 
@@ -20,4 +20,4 @@ class Dsr(ReactiveProtocol):
     name = "DSR"
 
     def __init__(self, node: NodeContext, cache_timeout: float = 300.0) -> None:
-        super().__init__(node, cost=HopCount(), cache_timeout=cache_timeout)
+        super().__init__(node, cost=HOP_COUNT, cache_timeout=cache_timeout)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from repro.core.radio import PowerMode
 from repro.routing.base import NodeContext, RoutingProtocol, SendBuffer
-from repro.routing.costs import HopCount, LinkCost
+from repro.routing.costs import HOP_COUNT, LinkCost
 from repro.sim.engine import Timer
 from repro.sim.packet import BROADCAST, Packet, PacketKind
 
@@ -112,7 +112,7 @@ class ProactiveProtocol(RoutingProtocol):
         super().__init__(node)
         if update_interval <= 0:
             raise ValueError("update interval must be positive")
-        self.cost = cost or HopCount()
+        self.cost = cost or HOP_COUNT
         self.update_interval = update_interval
         self.trigger_on_mode_change = trigger_on_mode_change
         self.table: dict[int, _TableEntry] = {}

@@ -22,7 +22,7 @@ packets back to the origin, which invalidates the route and re-discovers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.radio import PowerMode
@@ -32,7 +32,7 @@ from repro.routing.base import (
     RoutingProtocol,
     SendBuffer,
 )
-from repro.routing.costs import HopCount, LinkCost
+from repro.routing.costs import HOP_COUNT, LinkCost
 from repro.sim.engine import Timer
 from repro.sim.packet import BROADCAST, Packet, PacketKind
 
@@ -106,7 +106,7 @@ class SourceRoute:
         return self.path[self.index + 1]
 
     def advanced(self) -> "SourceRoute":
-        return replace(self, index=self.index + 1)
+        return SourceRoute(self.path, self.index + 1, self.rate)
 
 
 @dataclass
@@ -129,7 +129,7 @@ class ReactiveProtocol(RoutingProtocol):
         cache_timeout: float = 300.0,
     ) -> None:
         super().__init__(node)
-        self.cost = cost or HopCount()
+        self.cost = cost or HOP_COUNT
         self.include_rate = include_rate
         self.cache = RouteCache(node.sim, timeout=cache_timeout)
         self.buffer = SendBuffer()
@@ -315,8 +315,13 @@ class ReactiveProtocol(RoutingProtocol):
         self._seen_requests[key] = extended_cost
         if not self.participates_in_discovery(request):
             return
-        extended = replace(
-            request, path=request.path + (me,), cost=extended_cost
+        extended = RouteRequest(
+            request.origin,
+            request.target,
+            request.request_id,
+            request.path + (me,),
+            extended_cost,
+            request.rate,
         )
         self.stats.rreq_forwarded += 1
         self.sim.schedule(

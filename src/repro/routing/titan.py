@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.radio import PowerMode
 from repro.routing.base import NodeContext
-from repro.routing.costs import HopCount
+from repro.routing.costs import HOP_COUNT
 from repro.routing.reactive import ReactiveProtocol, RouteRequest, RREQ_JITTER
 
 _ACTIVE = PowerMode.ACTIVE
@@ -48,7 +48,7 @@ class Titan(ReactiveProtocol):
             raise ValueError("min_participation must lie in [0, 1]")
         if bias < 0:
             raise ValueError("bias must be non-negative")
-        super().__init__(node, cost=HopCount(), cache_timeout=cache_timeout)
+        super().__init__(node, cost=HOP_COUNT, cache_timeout=cache_timeout)
         self.bias = bias
         self.min_participation = min_participation
         self.suppressed_rreqs = 0

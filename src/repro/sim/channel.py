@@ -59,6 +59,7 @@ import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from repro.net.topology import _SpatialIndex
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 
@@ -81,15 +82,6 @@ from repro.sim.channel_models import (  # noqa: F401  (re-exports)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.phy import Phy
-
-#: Relative slack on the cell windows.  A window spans the floor-divided
-#: cells of ``[coord - margin, coord + margin]`` with ``margin =
-#: max_range * (1 + _CANDIDATE_SLACK)``; the subtraction and division
-#: round, so without slack a neighbor at exactly ``max_range`` could fall
-#: one cell outside.  1e-9 relative is ~1e7 ulp — no true neighbor can be
-#: lost, and the few extra candidates fail the exact ``math.hypot`` check.
-_CANDIDATE_SLACK = 1e-9
-
 
 class ChannelGeometry:
     """Precomputed all-pairs neighbor geometry, shareable across runs.
@@ -212,83 +204,6 @@ class ChannelGeometry:
         """Alias of :meth:`from_positions` (the original name, kept for
         existing callers)."""
         return cls.from_positions(positions, max_range, method=method)
-
-
-class _SpatialIndex:
-    """Cell list: grid-bucket membership of a set of positions.
-
-    Cells are ``max_range`` on a side.  :meth:`near` scans, per query
-    point, the cells of its *window* — the floor-divided cell range of
-    ``[coord - margin, coord + margin]`` per axis, ``margin = max_range *
-    (1 + _CANDIDATE_SLACK)``.  The window is computed per point, not as a
-    fixed 3x3 block around the point's own cell: float ``//`` is the exact
-    floor of the correctly rounded quotient, monotone in its numerator, and
-    the slack (~2.5e-7 m at 250 m range) exceeds the rounding of ``coord -
-    margin`` by orders of magnitude for any realistic field, so the window
-    provably covers every node within ``max_range``.
-
-    :meth:`ChannelGeometry.from_positions` builds one per freeze to find
-    candidate pairs; :class:`Channel` keeps one live after the first move,
-    rebucketed by :meth:`Channel.update_position`, so mobility repair
-    touches O(degree) tables instead of all N.
-    """
-
-    __slots__ = ("cell", "margin", "buckets", "cells")
-
-    def __init__(
-        self,
-        positions: Mapping[int, tuple[float, float]],
-        max_range: float,
-    ) -> None:
-        self.cell = max_range
-        self.margin = max_range * (1.0 + _CANDIDATE_SLACK)
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        self.cells: dict[int, tuple[int, int]] = {}
-        cell = self.cell
-        for node_id, (x, y) in positions.items():
-            key = (int(x // cell), int(y // cell))
-            self.cells[node_id] = key
-            self.buckets.setdefault(key, []).append(node_id)
-
-    def move(self, node_id: int, position: tuple[float, float]) -> None:
-        """Rebucket ``node_id`` at its new position."""
-        key = (int(position[0] // self.cell), int(position[1] // self.cell))
-        old = self.cells[node_id]
-        if key == old:
-            return
-        members = self.buckets[old]
-        members.remove(node_id)
-        if not members:
-            del self.buckets[old]
-        self.cells[node_id] = key
-        self.buckets.setdefault(key, []).append(node_id)
-
-    def near(self, points) -> list[int]:
-        """Nodes bucketed within range of any of ``points``.
-
-        Deterministic order (window scan order, bucket insertion order
-        within a cell) with each node listed once; callers sort what they
-        measure or patch independent per-node tables, so the order is
-        unobservable in results either way.
-        """
-        cell = self.cell
-        margin = self.margin
-        buckets = self.buckets
-        out: list[int] = []
-        seen_cells: set[tuple[int, int]] = set()
-        for x, y in points:
-            x_lo, x_hi = int((x - margin) // cell), int((x + margin) // cell)
-            y_lo, y_hi = int((y - margin) // cell), int((y + margin) // cell)
-            for a in range(x_lo, x_hi + 1):
-                for b in range(y_lo, y_hi + 1):
-                    key = (a, b)
-                    if key in seen_cells:
-                        continue
-                    seen_cells.add(key)
-                    members = buckets.get(key)
-                    if members:
-                        out.extend(members)
-        return out
 
 
 class _NeighborTable:

@@ -285,14 +285,6 @@ class Timer:
     def armed(self) -> bool:
         return self._handle is not None and not self._handle.cancelled
 
-    @property
-    def expires_at(self) -> float | None:
-        """Absolute expiry time, or None when not armed."""
-        if self.armed:
-            assert self._handle is not None
-            return self._handle.time
-        return None
-
     def restart(self, delay: float) -> None:
         """(Re)arm the timer to fire ``delay`` simulation seconds from now."""
         self.cancel()

@@ -51,20 +51,41 @@ _RTS = PacketKind.RTS
 _CTS = PacketKind.CTS
 _ACK = PacketKind.ACK
 
-#: Control-response timeouts per radio card (RadioModel is frozen, hence
-#: hashable).  Fixed per card, so the 300 MACs of a dense network share one
-#: read-only mapping instead of each deriving its own at assembly time.
-_CONTROL_TIMES: dict = {}
+#: Control-response timeouts per radio bandwidth (bits/s), their only
+#: input.  The MACs of a network share one read-only mapping instead of
+#: each deriving its own at assembly time, and the lookup hashes a float
+#: rather than the whole frozen ``RadioModel``.
+_CONTROL_TIMES: dict[float, dict] = {}
 
 
-def _control_times_for(card) -> dict:
-    times = _CONTROL_TIMES.get(card)
+def _control_times_for(bandwidth: float) -> dict:
+    times = _CONTROL_TIMES.get(bandwidth)
     if times is None:
-        times = _CONTROL_TIMES[card] = {
-            kind: FRAME_SIZES[kind] * 8 / card.bandwidth + TIMEOUT_SLACK
+        times = _CONTROL_TIMES[bandwidth] = {
+            kind: FRAME_SIZES[kind] * 8 / bandwidth + TIMEOUT_SLACK
             for kind in (_CTS, _ACK)
         }
     return times
+
+
+# Default upcalls and oracles, shared by every MAC until the node and the
+# PSM scheduler install their own.
+def _ignore_frame(packet: Packet) -> None:
+    """Default ``on_deliver``: drop the frame."""
+
+
+def _ignore_link_failure(next_hop: int, packet: Packet) -> None:
+    """Default ``on_link_failure``: nobody to tell."""
+
+
+def _peer_always_awake(dst: int) -> bool:
+    """``peer_awake`` without power saving: every peer is always awake."""
+    return True
+
+
+def _broadcast_always_clear() -> bool:
+    """Default ``broadcast_clear``: no PSM neighbor to wait for."""
+    return True
 
 
 @dataclass(slots=True)
@@ -117,11 +138,13 @@ class Mac:
         # the `node_id` property per frame.
         self._node_id = phy.node_id
 
-        self.on_deliver: Callable[[Packet], None] = lambda packet: None
-        self.on_link_failure: Callable[[int, Packet], None] = lambda dst, pkt: None
-        self.peer_awake: Callable[[int], bool] = lambda dst: True
+        self.on_deliver: Callable[[Packet], None] = _ignore_frame
+        self.on_link_failure: Callable[[int, Packet], None] = (
+            _ignore_link_failure
+        )
+        self.peer_awake: Callable[[int], bool] = _peer_always_awake
         #: PSM oracle: may a broadcast go out now (all PSM neighbors awake)?
-        self.broadcast_clear: Callable[[], bool] = lambda: True
+        self.broadcast_clear: Callable[[], bool] = _broadcast_always_clear
 
         self._queue: deque[_Outgoing] = deque()
         self._current: _Outgoing | None = None
@@ -136,12 +159,12 @@ class Mac:
         #: ``functools.cached_property``: on CPython 3.11 that materializes
         #: the instance ``__dict__`` and slows every later attribute access.
         self._rng: random.Random | None = None
-        #: Response timeouts are fixed per card; precomputed once per card
-        #: (shared read-only mapping) instead of re-deriving
+        #: Response timeouts are fixed per bandwidth; precomputed once per
+        #: bandwidth (shared read-only mapping) instead of re-deriving
         #: ``FRAME_SIZES[kind] * 8 / bandwidth`` per transmission or per
         #: node.  (Kept as the ladder's exact expression so timeout event
         #: times — and therefore runs — stay bit-identical.)
-        self._control_times = _control_times_for(phy.card)
+        self._control_times = _control_times_for(phy.card.bandwidth)
 
         phy.on_receive = self._on_phy_receive
         phy.on_tx_done = self._on_tx_done
@@ -191,9 +214,6 @@ class Mac:
         if self._current is not None and self._current.packet.is_broadcast:
             return True
         return any(out.packet.is_broadcast for out in self._queue)
-
-    def has_pending(self) -> bool:
-        return bool(self._queue) or self._current is not None
 
     def kick(self) -> None:
         """PSM scheduler upcall: previously-held destinations may be awake."""

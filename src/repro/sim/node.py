@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 _ACTIVE = PowerMode.ACTIVE
 
 
+def _ignore_app_data(packet: Packet) -> None:
+    """Default ``on_app_data`` until a traffic sink installs its own."""
+
+
 class Node:
     """One wireless node with a full protocol stack."""
 
@@ -70,7 +74,7 @@ class Node:
         self.power.on_mode_change = self._on_mode_change
 
         self.routing: "RoutingProtocol | None" = None
-        self.on_app_data: Callable[[Packet], None] = lambda packet: None
+        self.on_app_data: Callable[[Packet], None] = _ignore_app_data
         #: Every node of the network by id (shared, filled by the network);
         #: ``neighbor_mode`` reads the neighbors' power managers from it.
         self._peers = peers

@@ -9,7 +9,7 @@ are always transmitted at maximum power, per Eq. 2 of the paper.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -96,10 +96,27 @@ class Packet:
         return self.dst == BROADCAST
 
     def copy_for_hop(self, src: int, dst: int) -> "Packet":
-        """Clone the frame for the next hop, keeping end-to-end identity."""
-        clone = replace(self, src=src, dst=dst, uid=next(_packet_ids))
-        clone.hops_travelled = self.hops_travelled + 1
-        return clone
+        """Clone the frame for the next hop, keeping end-to-end identity.
+
+        Built directly rather than through ``dataclasses.replace``, which
+        re-reads the field metadata on every call; the clone takes the next
+        uid, so the counter advances exactly once per copy.
+        """
+        return Packet(
+            self.kind,
+            src,
+            dst,
+            self.size_bytes,
+            self.origin,
+            self.final_dst,
+            self.flow_id,
+            self.seqno,
+            self.payload,
+            self.is_control,
+            next(_packet_ids),
+            self.created_at,
+            self.hops_travelled + 1,
+        )
 
 
 def make_data_packet(

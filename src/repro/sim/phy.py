@@ -27,10 +27,14 @@ receive classified by the first frame in flight), so they call the one
 ``NodeEnergy.charge_*`` method directly.  ``sleep`` and ``wake``, which
 every power-save node calls once per beacon interval, do the same for the
 sleep and idle periods they end.  The rarer state changes (transmit, end
-of transmission, finalize, failure) go through ``_charge_elapsed`` and its
-per-state dispatch table built once in ``__init__``.  Either way the
-ledger sees exactly one charge call per state change, with the same
-elapsed time at the same moment.
+of transmission, finalize, failure) go through ``_charge_elapsed``, which
+branches on the state it leaves and looks the ledger method up when it
+runs.  Either way the ledger sees exactly one charge call per state
+change, with the same elapsed time at the same moment.  Nothing is bound
+per radio at assembly: the default upcalls are one shared module-level
+function, and no per-radio table captures the ledger's charge methods,
+so a wrapper put on ``NodeEnergy`` after a network is assembled still
+sees every charge.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ _TRANSMIT = RadioState.TRANSMIT
 _RECEIVE = RadioState.RECEIVE
 _IDLE = RadioState.IDLE
 _SLEEP = RadioState.SLEEP
+
+
+def _ignore(packet: Packet) -> None:
+    """Default ``on_receive``/``on_tx_done``, until a MAC installs its own."""
 
 
 class Phy:
@@ -89,7 +97,6 @@ class Phy:
         "_rx_packets",
         "_rx_corrupted",
         "_rx_missed",
-        "_chargers",
         "on_receive",
         "on_tx_done",
         "frames_sent",
@@ -137,21 +144,10 @@ class Phy:
         self._rx_corrupted: set[int] = set()
         self._rx_missed: set[int] = set()
 
-        #: Per-state charge dispatch, replacing the old if/elif ladder in
-        #: the charge path.  IDLE and SLEEP charge the ledger directly; the
-        #: communication states need the active frame to classify the charge
-        #: as data or control (Eqs. 1–2).
-        self._chargers: dict[RadioState, Callable[[float], object]] = {
-            _IDLE: energy.charge_idle,
-            _SLEEP: energy.charge_sleep,
-            _TRANSMIT: self._charge_transmit,
-            _RECEIVE: self._charge_receive,
-        }
-
         #: Upcall: a frame survived reception (set by the MAC).
-        self.on_receive: Callable[[Packet], None] = lambda packet: None
+        self.on_receive: Callable[[Packet], None] = _ignore
         #: Upcall: our own transmission finished (set by the MAC).
-        self.on_tx_done: Callable[[Packet], None] = lambda packet: None
+        self.on_tx_done: Callable[[Packet], None] = _ignore
 
         #: Counters for tests and traces.
         self.frames_sent = 0
@@ -197,13 +193,26 @@ class Phy:
             self.energy.charge_control_rx(elapsed)
 
     def _charge_elapsed(self) -> None:
-        """Charge the ledger for time spent in the current state."""
+        """Charge the ledger for time spent in the current state.
+
+        IDLE and SLEEP charge the ledger directly; the communication
+        states need the active frame to classify the charge as data or
+        control (Eqs. 1–2).
+        """
         now = self.sim.now
         elapsed = now - self._state_since
         self._state_since = now
         if elapsed <= 0:
             return
-        self._chargers[self._state](elapsed)
+        state = self._state
+        if state is _IDLE:
+            self.energy.charge_idle(elapsed)
+        elif state is _TRANSMIT:
+            self._charge_transmit(elapsed)
+        elif state is _SLEEP:
+            self.energy.charge_sleep(elapsed)
+        else:
+            self._charge_receive(elapsed)
 
     def _set_state(self, state: RadioState) -> None:
         self._charge_elapsed()
@@ -214,15 +223,14 @@ class Phy:
         self._charge_elapsed()
 
     def close(self) -> None:
-        """Drop the MAC upcalls and the charge dispatch (end of a run).
+        """Drop the MAC upcalls (end of a run).
 
-        Both hold bound methods, of the MAC and of this PHY, so they keep a
-        finished network in reference cycles.  Counters and the ledger stay
-        readable; a closed PHY must not change state again.
+        They are bound methods of the MAC, so they keep a finished network
+        in reference cycles.  Counters and the ledger stay readable; a
+        closed PHY must not change state again.
         """
         self.on_receive = None
         self.on_tx_done = None
-        self._chargers.clear()
 
     # ------------------------------------------------------------------
     # Sleep control (driven by the PSM scheduler / power manager)

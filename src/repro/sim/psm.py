@@ -39,7 +39,7 @@ from typing import Iterable
 
 from repro.core.radio import PowerMode, RadioState
 from repro.sim.engine import Simulator
-from repro.sim.mac import Mac
+from repro.sim.mac import Mac, _peer_always_awake
 from repro.sim.packet import FRAME_SIZES, PacketKind
 from repro.sim.phy import Phy
 
@@ -52,6 +52,21 @@ _POWER_SAVE = PowerMode.POWER_SAVE
 _ATIM = PacketKind.ATIM
 _ATIM_ACK = PacketKind.ATIM_ACK
 
+#: ``(ATIM, ATIM-ACK)`` airtimes in seconds per radio bandwidth (bits/s),
+#: their only input, computed once per bandwidth and shared by every
+#: member.
+_ATIM_AIRTIMES: dict[float, tuple[float, float]] = {}
+
+
+def _atim_airtimes(bandwidth: float) -> tuple[float, float]:
+    airtimes = _ATIM_AIRTIMES.get(bandwidth)
+    if airtimes is None:
+        airtimes = _ATIM_AIRTIMES[bandwidth] = (
+            FRAME_SIZES[_ATIM] * 8 / bandwidth,
+            FRAME_SIZES[_ATIM_ACK] * 8 / bandwidth,
+        )
+    return airtimes
+
 
 @dataclass(slots=True)
 class _Member:
@@ -61,7 +76,7 @@ class _Member:
     mode: PowerMode
     awake_this_interval: bool = False
     expected_broadcasts: int = 0
-    #: ATIM / ATIM-ACK airtimes in seconds, precomputed at registration so
+    #: ATIM / ATIM-ACK airtimes in seconds, looked up at registration so
     #: the per-beacon announcement pass does not re-derive
     #: ``FRAME_SIZES[kind] * 8 / bandwidth`` per announcement.
     atim_airtime: float = 0.0
@@ -110,13 +125,9 @@ class PsmScheduler:
         wire their power manager's upcall to it).  Installs this scheduler
         as the MAC's ``peer_awake`` oracle.
         """
-        bandwidth = phy.card.bandwidth
+        atim_airtime, ack_airtime = _atim_airtimes(phy.card.bandwidth)
         member = _Member(
-            phy=phy,
-            mac=mac,
-            mode=mode,
-            atim_airtime=FRAME_SIZES[_ATIM] * 8 / bandwidth,
-            ack_airtime=FRAME_SIZES[_ATIM_ACK] * 8 / bandwidth,
+            phy, mac, mode, atim_airtime=atim_airtime, ack_airtime=ack_airtime
         )
         self._members[phy.node_id] = member
         mac.peer_awake = self.peer_awake
@@ -310,7 +321,7 @@ class NoPsm:
         self.atim_announcements = 0
 
     def register(self, phy: Phy, mac: Mac, mode: PowerMode) -> None:
-        mac.peer_awake = lambda dst: True
+        mac.peer_awake = _peer_always_awake
 
     def start(self) -> None:
         return None

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core.energy_model import NetworkEnergy
 from repro.core.radio import CABLETRON, HYPOTHETICAL_CABLETRON, MICA2, RadioModel
 from repro.net.topology import Placement, grid_placement, uniform_random_placement
 from repro.sim.network import NetworkConfig, WirelessNetwork
@@ -90,19 +91,22 @@ class SmokeRun:
     #: Pairs whose scheduler-recorded mode differed from the node's
     #: power manager.
     mode_mismatches: int
+    #: The run's energy ledgers (they hold only their radio card).
+    energy: NetworkEnergy
 
 
 class SmokeRuns:
     """Each cell of ``smoke_pins.CELLS`` run at most once per session.
 
     The teardown tests (no cyclic garbage), the pin table
-    (``tests/test_smoke_pins.py``) and the PSM mode-record check
-    (``tests/test_psm_power.py``) read the same run, so tier-1 pays for
-    each cell once.  A run starts from a collected heap with the
+    (``tests/test_smoke_pins.py``), the PSM mode-record check
+    (``tests/test_psm_power.py``) and the energy-summary check
+    (``tests/test_energy_model.py``) read the same run, so tier-1 pays
+    for each cell once.  A run starts from a collected heap with the
     collector paused, as ``tests/test_teardown.py`` requires.  At every
     beacon it compares each member's recorded mode with its node's power
     manager; the check only reads, and holds no reference to the network
-    once the run is over.
+    once the run is over, only its energy ledgers.
     """
 
     def __init__(self) -> None:
@@ -126,6 +130,7 @@ class SmokeRuns:
             try:
                 return network_run(network)
             finally:
+                seen["energy"] = network.energy
                 running.clear()
 
         def checked_beacon(psm):
@@ -153,6 +158,7 @@ class SmokeRuns:
             beacons=seen["beacons"],
             mode_checks=seen["checks"],
             mode_mismatches=seen["mismatches"],
+            energy=seen["energy"],
         )
 
 

@@ -130,6 +130,11 @@ def _route_entry(key: str, value: int) -> dict:
     return {"key": key, "routes": payload, "digest": canonical_digest(payload)}
 
 
+def _python_encoded(obj, **kwargs) -> str:
+    """``obj`` as ``json.dump`` writes it: the pure-Python encoder."""
+    return "".join(json.JSONEncoder(sort_keys=True, **kwargs).iterencode(obj))
+
+
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
 
@@ -145,7 +150,36 @@ class TestLocalJsonBackend:
         path = store._path("runs", KEY_A)
         assert path == tmp_path / "runs" / "aa" / ("%s.json" % KEY_A)
         # Exactly json.dump(entry, sort_keys=True) with default separators.
-        assert path.read_text() == json.dumps(entry, sort_keys=True)
+        assert path.read_text() == _python_encoded(entry)
+
+    def test_real_entry_and_manifest_bytes_match_the_python_encoder(
+        self, tmp_path, tiny, tiny_results, monkeypatch
+    ):
+        """The C encoder the writers use emits the bytes ``json.dump``'s
+        pure-Python encoder wrote, on real ``RunResult`` entries and a
+        real sweep manifest."""
+        written = []
+        put = LocalJsonBackend.put
+
+        def recording_put(backend, kind, key, entry):
+            written.append((kind, key, entry))
+            put(backend, kind, key, entry)
+
+        monkeypatch.setattr(LocalJsonBackend, "put", recording_put)
+        store = ResultStore(tmp_path / "store")
+        _fill_store(store, tiny, tiny_results)
+        assert len(written) == len(tiny_results)
+        for kind, key, entry in written:
+            text = store.backend.path(kind, key).read_text(encoding="utf-8")
+            assert text == _python_encoded(entry)
+
+        manifest = SweepManifest(tmp_path / "manifest.json")
+        cells = sorted(tiny_results)
+        manifest.register(tiny, cells)
+        manifest.note_done(cells[:-1])
+        manifest.mark_failed(cells[-1], "boom: \u00e9 \"quoted\"", 2)
+        text = manifest.path.read_text(encoding="utf-8")
+        assert text == _python_encoded(json.loads(text), separators=(",", ":"))
 
     def test_quarantine_is_a_rename(self, tmp_path):
         store = ResultStore(tmp_path)

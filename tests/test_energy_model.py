@@ -10,6 +10,21 @@ from repro.core.energy_model import (
 )
 from repro.core.radio import CABLETRON, MICA2, RadioState
 from repro.experiments.runner import _always_active_energy
+from smoke_pins import CELLS as SMOKE_CELLS
+
+
+def reference_summary(network):
+    """``NetworkEnergy.summary`` as it was: one property sum per key."""
+    return {
+        "e_network": network.e_network,
+        "e_comm": network.e_comm,
+        "e_passive": network.e_passive,
+        "e_data": sum(n.e_data for n in network.nodes.values()),
+        "e_control": sum(n.e_control for n in network.nodes.values()),
+        "transmit_energy": network.transmit_energy,
+        "idle_energy": sum(n.idle for n in network.nodes.values()),
+        "sleep_energy": sum(n.sleep for n in network.nodes.values()),
+    }
 
 
 class TestNodeEnergy:
@@ -173,6 +188,32 @@ class TestNetworkEnergy:
         assert summary["e_comm"] == pytest.approx(
             summary["e_data"] + summary["e_control"]
         )
+
+    def test_summary_equals_the_property_sums_where_order_matters(self):
+        """Every ledger field is 1e16 on one node and 1.0 on the next two,
+        rotating by field, so both the in-node grouping and the node order
+        of each sum decide its float."""
+        assert (1e16 + 1.0) + 1.0 != 1e16 + (1.0 + 1.0)
+        fields = (
+            "data_tx", "data_rx", "control_tx", "control_rx",
+            "idle", "sleep", "switch",
+        )
+        values = (1e16, 1.0, 1.0)
+        network = NetworkEnergy()
+        for node in range(6):
+            ledger = network.add_node(node, CABLETRON)
+            for index, name in enumerate(fields):
+                setattr(ledger, name, values[(node + index) % 3])
+        assert network.summary() == reference_summary(network)
+
+    @pytest.mark.parametrize(
+        "cell_id", list(SMOKE_CELLS), ids=list(SMOKE_CELLS)
+    )
+    def test_summary_equals_the_property_sums_on_smoke_cells(
+        self, smoke_runs, cell_id
+    ):
+        energy = smoke_runs[cell_id].energy
+        assert energy.summary() == reference_summary(energy)
 
 
 class TestFlowRoute:

@@ -259,13 +259,6 @@ class TestTimer:
         assert fired == []
         assert not timer.armed
 
-    def test_expires_at(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert timer.expires_at is None
-        timer.restart(4.0)
-        assert timer.expires_at == pytest.approx(4.0)
-
     def test_rearmed_inside_callback(self):
         sim = Simulator()
         count = []

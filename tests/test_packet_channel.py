@@ -1,9 +1,12 @@
 """Tests for packet construction and channel geometry/propagation."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.energy_model import NodeEnergy
 from repro.core.radio import CABLETRON
+from repro.net.topology import Placement
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.packet import (
@@ -55,6 +58,74 @@ class TestPacket:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             Packet(kind=PacketKind.DATA, src=1, dst=2, size_bytes=0)
+
+
+class TestDirectCopies:
+    """The per-frame copies equal the ``dataclasses.replace`` reference
+    they stand in for, field for field."""
+
+    @pytest.mark.parametrize("packet", [
+        make_data_packet(origin=1, final_dst=9, src=1, dst=2, flow_id=3,
+                         seqno=7, created_at=1.25),
+        make_control_packet(PacketKind.ROUTING, src=4, dst=BROADCAST,
+                            size_bytes=40, payload=("rreq", 1),
+                            created_at=0.5),
+    ], ids=["data", "routing"])
+    def test_copy_for_hop_equals_replace(self, packet):
+        packet.hops_travelled = 2
+        clone = packet.copy_for_hop(src=2, dst=3)
+        # The counter advanced exactly once: the next uid follows the clone's.
+        assert packet.copy_for_hop(src=2, dst=3).uid == clone.uid + 1
+        reference = replace(packet, src=2, dst=3, uid=clone.uid)
+        reference.hops_travelled = packet.hops_travelled + 1
+        for field in fields(Packet):
+            assert getattr(clone, field.name) == getattr(
+                reference, field.name
+            ), field.name
+        assert clone.payload is packet.payload
+
+    def test_source_route_advanced_equals_replace(self):
+        from repro.routing.reactive import SourceRoute
+
+        route = SourceRoute((1, 2, 3, 4), 1, rate=4000.0)
+        assert route.advanced() == replace(route, index=route.index + 1)
+        bare = SourceRoute((5, 6), 0)
+        assert bare.advanced() == replace(bare, index=1)
+
+    def test_rreq_extension_equals_replace(self, monkeypatch):
+        """The request a relay rebroadcasts is the one it received with
+        itself and its link cost appended."""
+        from repro.routing.reactive import RouteRequest
+        from repro.sim.network import NetworkConfig, WirelessNetwork
+
+        placement = Placement(
+            {i: (150.0 * i, 0.0) for i in range(3)}, width=300.0, height=1.0
+        )
+        network = WirelessNetwork(NetworkConfig(
+            placement=placement, card=CABLETRON, protocol="DSRH-ODPM(rate)",
+            flows=[], duration=2.0,
+        ))
+        relay = network.nodes[1].routing
+        sent = []
+        monkeypatch.setattr(
+            relay, "_broadcast_control",
+            lambda payload, size: sent.append(payload),
+        )
+        request = RouteRequest(
+            origin=0, target=2, request_id=5, path=(0,), cost=0.25,
+            rate=4000.0,
+        )
+        frame = make_control_packet(
+            PacketKind.ROUTING, src=0, dst=BROADCAST,
+            size_bytes=request.size_bytes(), payload=request,
+        )
+        relay._on_rreq(request, frame)
+        network.sim.run(until=1.0)
+        extended_cost = relay._seen_requests[(0, 5)]
+        assert sent == [
+            replace(request, path=(0, 1), cost=extended_cost)
+        ]
+        network.close()
 
 
 def make_phy(sim, channel, node_id):

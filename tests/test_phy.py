@@ -393,3 +393,52 @@ class TestReceiveStateInvariant:
         WirelessNetwork(config).run()
         assert {"rx_start", "rx_end", "sleep", "wake"} <= set(calls)
         assert ("fail" in calls) == (preset == "churn_grid")
+
+
+class TestChargesSeenByClassWrappers:
+    """A wrapper put on ``NodeEnergy.charge_*`` after a network is
+    assembled sees every charge that one put there before assembly does:
+    no radio keeps a charge method it bound at assembly."""
+
+    CHARGES = tuple(
+        name for name in NodeEnergy.__dict__ if name.startswith("charge_")
+    )
+
+    def _counted_run(self, wrap_before_assembly: bool) -> dict[str, int]:
+        from repro.experiments.scenarios import small_network
+        from repro.sim.network import WirelessNetwork
+
+        config = small_network(scale="smoke").config("DSR-ODPM", 4.0, 1)
+        calls = dict.fromkeys(self.CHARGES, 0)
+
+        def counted(name, charge):
+            def wrapper(ledger, *args, **kwargs):
+                calls[name] += 1
+                return charge(ledger, *args, **kwargs)
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+
+            def install():
+                for name in self.CHARGES:
+                    charge = NodeEnergy.__dict__[name]
+                    patch.setattr(NodeEnergy, name, counted(name, charge))
+
+            if wrap_before_assembly:
+                install()
+            network = WirelessNetwork(config)
+            if not wrap_before_assembly:
+                install()
+            try:
+                network.run()
+            finally:
+                network.close()
+        return calls
+
+    def test_wrapping_after_assembly_sees_every_charge(self):
+        before = self._counted_run(wrap_before_assembly=True)
+        after = self._counted_run(wrap_before_assembly=False)
+        assert after == before
+        # The state-change path charges idle and sleep periods too.
+        assert before["charge_idle"] > 0 and before["charge_sleep"] > 0

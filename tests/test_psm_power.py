@@ -167,7 +167,7 @@ class TestCampaignShapeCell:
 
         config = self._config(protocol)
         assert all(flow.start >= config.duration for flow in config.flows)
-        calls = {"mode": 0, "has_pending": 0, "state": 0}
+        calls = {"mode": 0, "state": 0}
 
         def counted_property(name, prop):
             def getter(self):
@@ -176,24 +176,17 @@ class TestCampaignShapeCell:
 
             return property(getter)
 
-        has_pending = Mac.has_pending
-
-        def counted_has_pending(mac):
-            calls["has_pending"] += 1
-            return has_pending(mac)
-
         network = WirelessNetwork(config)
         monkeypatch.setattr(
             PowerManager, "mode", counted_property("mode", PowerManager.mode)
         )
         monkeypatch.setattr(Phy, "state", counted_property("state", Phy.state))
-        monkeypatch.setattr(Mac, "has_pending", counted_has_pending)
         gc.collect()
         gc.disable()
         try:
             network.run()
             assert network.psm.beacons == 7
-            assert calls == {"mode": 0, "has_pending": 0, "state": 0}
+            assert calls == {"mode": 0, "state": 0}
             assert len(network.channel._tables) == 0
             assert all(
                 node._neighbor_power is None

@@ -423,6 +423,73 @@ class TestManifest:
         assert list(tmp_path.glob(".*.tmp")) == []
 
 
+class TestManifestFlushPerUnit:
+    """A sweep flushes its manifest once at registration and once per
+    recorded unit, with every verified cell of the unit in that flush."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_units_of_two_seeds_flush_three_times(
+        self, tiny, tmp_path, monkeypatch, jobs
+    ):
+        done_at_flush = []
+        flush = SweepManifest.flush
+
+        def counted_flush(manifest):
+            done_at_flush.append(manifest.counts()["done"])
+            flush(manifest)
+
+        monkeypatch.setattr(SweepManifest, "flush", counted_flush)
+        cells = grid_cells(tiny)
+        assert len(cells) == 4  # two (protocol, rate) units of two seeds
+        run_grid(
+            tiny,
+            cells,
+            jobs=jobs,
+            store=ResultStore(tmp_path / "cache"),
+            manifest=SweepManifest(tmp_path / "manifest.json"),
+        )
+        assert done_at_flush == [0, 2, 4]
+        on_disk = SweepManifest.load(tmp_path / "manifest.json")
+        assert on_disk.counts()["done"] == len(cells)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_sweep_leaves_verified_cells_done_on_disk(
+        self, tiny, tmp_path, jobs
+    ):
+        cells = grid_cells(tiny)
+        manifest_path = tmp_path / "manifest.json"
+        guard = InterruptGuard()
+        done_on_disk = []
+
+        class InterruptAfterFirst(ProgressReporter):
+            def advance(self, label, cells=1):
+                # A unit is reported after its cells are flushed as done.
+                checkpoint = SweepManifest.load(manifest_path)
+                done_on_disk.append(checkpoint.counts()["done"])
+                super().advance(label, cells=cells)
+                guard.trigger()
+
+        with pytest.raises(SweepInterrupted) as excinfo:
+            run_grid(
+                tiny,
+                cells,
+                jobs=jobs,
+                store=ResultStore(tmp_path / "cache"),
+                progress=InterruptAfterFirst(total=len(cells), enabled=False),
+                manifest=SweepManifest.open(manifest_path),
+                interrupt=guard,
+            )
+        assert done_on_disk[0] == 2
+        assert done_on_disk == [2 * n for n in range(1, len(done_on_disk) + 1)]
+        checkpoint = SweepManifest.load(manifest_path)
+        done = checkpoint.cells("done")
+        assert len(done) == excinfo.value.done == done_on_disk[-1]
+        store = ResultStore(tmp_path / "cache")
+        for cell in done:
+            key = cell_key(tiny, cell.protocol, cell.rate_kbps, cell.seed)
+            assert store.get_run(key) is not None
+
+
 def _worker_signal_disposition():
     return (
         signal.getsignal(signal.SIGINT) is signal.SIG_IGN,

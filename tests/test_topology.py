@@ -188,6 +188,71 @@ class TestConnectivitySearch:
         assert graph_is_connected(placement, 5.0) is connected
 
 
+class TestConnectivityCellBoundaries:
+    """The cell-list search where candidates sit on cell edges.
+
+    Cells are ``max_range`` on a side, so with a range of 5 every
+    coordinate that is a multiple of 5 lies on a cell edge.
+    """
+
+    @staticmethod
+    def _agree(positions, max_range, width=50.0, height=50.0):
+        placement = Placement(positions, width, height)
+        connected = _is_connected(placement, max_range)
+        assert connected == graph_is_connected(placement, max_range)
+        return connected
+
+    @pytest.mark.parametrize("pair", [
+        ((4.0, 1.0), (9.0, 1.0)),  # across one vertical edge
+        ((5.0, 1.0), (10.0, 1.0)),  # both ends on edges
+        ((3.0, 1.0), (6.0, 5.0)),  # a 3-4-5 diagonal across a corner
+        ((6.0, 5.0), (3.0, 1.0)),  # the same pair, searched the other way
+    ])
+    def test_pair_exactly_range_apart_across_an_edge(self, pair):
+        a, b = pair
+        assert self._agree({0: a, 1: b}, 5.0)
+        assert not self._agree({0: a, 1: b}, math.nextafter(5.0, 0.0))
+
+    def test_nodes_on_cell_corners(self):
+        corners = {
+            node: (5.0 * (node % 3), 5.0 * (node // 3)) for node in range(9)
+        }
+        assert self._agree(corners, 5.0)
+        assert not self._agree(corners, math.nextafter(5.0, 0.0))
+        # Diagonal corners only: sqrt(50) apart, no axis neighbour.
+        diagonal = {0: (0.0, 0.0), 1: (5.0, 5.0), 2: (10.0, 10.0)}
+        assert self._agree(diagonal, math.sqrt(50.0))
+        assert not self._agree(diagonal, 7.0)
+
+    @pytest.mark.parametrize("gap", [None, 17])
+    def test_chain_across_many_cells(self, gap):
+        """A 40-hop zigzag through 25 cells, each hop exactly one range
+        (a 3-4-5 step scaled to 1.25) and most across a cell edge;
+        dropping one node splits it."""
+        positions = {}
+        x = y = 0.0
+        for node in range(41):
+            positions[node] = (x, y)
+            x, y = x + 3.0 * 0.25, y + (4.0 if node % 2 == 0 else -4.0) * 0.25
+        if gap is not None:
+            del positions[gap]
+        assert self._agree(positions, 1.25, width=31.0, height=2.0) is (
+            gap is None
+        )
+
+    def test_points_on_the_far_field_edge(self):
+        """``x == width`` and ``y == height`` are inside the field and
+        bucket one cell past the last full one."""
+        width = height = 10.0
+        positions = {
+            0: (10.0, 10.0), 1: (5.0, 10.0), 2: (10.0, 5.0), 3: (0.0, 10.0),
+        }
+        assert self._agree(positions, 5.0, width, height)
+        assert not self._agree(
+            positions, math.nextafter(5.0, 0.0), width, height
+        )
+
+
 class TestGrid:
     def test_7x7_grid_spacing(self):
         """The §5.2.3 grid: 300x300 with 7 nodes per side -> 50 m spacing."""
