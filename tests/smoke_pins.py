@@ -7,7 +7,9 @@ to this file.  A cell is one ``runner.run_single`` call at smoke scale,
 4 Kbit/s, seed 1; its pin is ``canonical_digest(RunResult.to_payload())``.
 The table covers all 12 protocols of ``PROTOCOLS`` on ``small_network``,
 the dynamic presets and channel models ``tests/test_teardown.py`` runs,
-and ``mobile_small`` under TITAN-PC.  ``tests/test_smoke_pins.py`` checks
+and ``mobile_small`` under TITAN-PC, on the disc and under a lossy,
+shadowed ``prob`` model (the one pinned cell where a moving topology's
+table distances reach a channel model).  ``tests/test_smoke_pins.py`` checks
 it from the runs the teardown tests make (see ``smoke_runs`` in
 ``tests/conftest.py``), so the check costs tier-1 about one extra cell.
 
@@ -47,6 +49,9 @@ CELLS: dict[str, tuple[str, tuple | None, str]] = {
     ),
     "bursty_small": ("bursty_small", None, "DSR-ODPM"),
     "mobile_small-TITAN-PC": ("mobile_small", None, "TITAN-PC"),
+    "mobile_small-prob": (
+        "mobile_small", ("prob", (("loss", 0.2), ("sigma", 3.0))), "TITAN-PC"
+    ),
 }
 
 
