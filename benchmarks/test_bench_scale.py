@@ -42,7 +42,7 @@ def _positions(node_count: int) -> dict[int, tuple[float, float]]:
 
 
 def _tables(geometry: ChannelGeometry):
-    return (geometry.dists, geometry.dist_ranks, geometry.ranks, geometry.ids)
+    return (geometry.ranks, geometry.ids, geometry.dists)
 
 
 def test_bench_scale_freeze(benchmark):

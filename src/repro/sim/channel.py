@@ -9,19 +9,20 @@ distance (the paper assumes infinitely adjustable transmit power).
 
 Positions are static by default, so all geometry is precomputed:
 :meth:`Channel.freeze` (run lazily after the last :meth:`Channel.register`)
-fixes one :class:`ChannelGeometry` — every node's in-range neighbors,
-distance-sorted — and each node's mutable neighbor table is resolved
-from it the first time :meth:`Channel.in_reach` or
-:meth:`Channel.neighbors` asks for that node, so a cell pays only for the
-tables its traffic reads.  ``in_reach`` then resolves a transmission's
-receiver set with a single bisect over the table instead of re-checking
-distances per frame.  The pair scan behind the geometry
+fixes one :class:`ChannelGeometry` — every node's in-range neighbors and
+their distances, in registration order — and each node's mutable
+neighbor table is resolved from it the first time :meth:`Channel.in_reach`
+or :meth:`Channel.neighbors` asks for that node, so a cell pays only for
+the tables its traffic reads.  A maximum-power transmission's receiver
+set is then the table's full list; a reduced reach keeps the entries
+whose stored distance is within it, so no frame re-measures a distance.
+The pair scan behind the geometry
 (:meth:`ChannelGeometry.from_positions`) is a cell list: positions are
 binned into ``max_range``-sized cells and each node measures only the
 members of the cells its range window overlaps, O(N x degree) instead of
 O(N^2).  Every candidate is re-measured with ``math.hypot`` and entries
-sort by ``(distance, rank)``, so the tables are byte-identical to the
-brute-force reference scan; a prebuilt :class:`ChannelGeometry` can also
+sort by rank, so the tables are byte-identical to the brute-force
+reference scan; a prebuilt :class:`ChannelGeometry` can also
 be handed to the :class:`Channel` constructor so the seeds of a sweep
 share a single geometry pass (see
 :func:`repro.experiments.runner.shared_setup`).
@@ -32,13 +33,13 @@ contract (serial == parallel == cached, bit for bit) depends on it.
 
 Dynamic topologies (:mod:`repro.sim.mobility`) move nodes mid-run through
 :meth:`Channel.update_position`, which repairs the frozen tables
-*incrementally* through the same cells: the moved node's own table is
-rebuilt, and only the tables of nodes bucketed within range of its old or
-new position are resolved (before the move) and patched in place for the
-single entry that changed — O(moved nodes x degree), never the O(N^2)
-full re-freeze.  A table no move has touched is still the one the freeze
-described, so it can be resolved from the frozen geometry at any later
-time.  The bucket
+*incrementally* through the same cells: only the tables of nodes bucketed
+within range of its old or new position are resolved (before the move)
+and patched in place for the single entry that changed, and the moved
+node's own table is rebuilt from the distances that pass measured —
+O(moved nodes x degree), never the O(N^2) full re-freeze.  A table no
+move has touched is still the one the freeze described, so it can be
+resolved from the frozen geometry at any later time.  The bucket
 index (:class:`_SpatialIndex`) is built at the first move after a freeze,
 so static runs never build it and stay bit-identical to pre-mobility
 builds.  Neighbor-set changes are counted in :attr:`Channel.link_changes`,
@@ -83,17 +84,18 @@ from repro.sim.channel_models import (  # noqa: F401  (re-exports)
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.phy import Phy
 
+
 class ChannelGeometry:
     """Precomputed all-pairs neighbor geometry, shareable across runs.
 
     Holds exactly what a frozen :class:`Channel` needs to resolve one
-    :class:`_NeighborTable` per node — the ``(distance, rank, neighbor)``
-    entries of every in-range pair, sorted by ``(distance, rank)``, plus
-    the same entries in rank (registration) order — keyed to a specific
-    node ordering and position set.  All distances are ``math.hypot``
-    values, so tables instantiated from a geometry are **bit-identical**
-    to tables computed from scratch; the cell list below only changes how
-    candidate pairs are *found*, never how they are measured.
+    :class:`_NeighborTable` per node — the ``(rank, neighbor, distance)``
+    entries of every in-range pair, in rank (registration) order — keyed
+    to a specific node ordering and position set.  All distances are
+    ``math.hypot`` values, so tables instantiated from a geometry are
+    **bit-identical** to tables computed from scratch; the cell list below
+    only changes how candidate pairs are *found*, never how they are
+    measured.
 
     Instances are immutable (tuples throughout) and safe to share: every
     resolved table is built from fresh mutable lists, so one simulation's
@@ -103,37 +105,31 @@ class ChannelGeometry:
     on the seed.
 
     Per node the entries are stored as parallel tuples rather than tuples
-    of triples — ``dists``/``dist_ranks`` sorted by ``(distance, rank)``
-    and ``ranks``/``ids`` in rank order — so instantiating a table is a
-    handful of ``list()`` copies and positional PHY lookups per node.
+    of triples — ``ranks``, ``ids`` and ``dists``, all in rank order — so
+    instantiating a table is a handful of ``list()`` copies and positional
+    PHY lookups per node.
     """
 
-    __slots__ = (
-        "order", "positions", "max_range",
-        "dists", "dist_ranks", "ranks", "ids",
-    )
+    __slots__ = ("order", "positions", "max_range", "ranks", "ids", "dists")
 
     def __init__(
         self,
         order: tuple[int, ...],
         positions: dict[int, tuple[float, float]],
         max_range: float,
-        dists: dict[int, tuple[float, ...]],
-        dist_ranks: dict[int, tuple[int, ...]],
         ranks: dict[int, tuple[int, ...]],
         ids: dict[int, tuple[int, ...]],
+        dists: dict[int, tuple[float, ...]],
     ) -> None:
         self.order = order
         self.positions = positions
         self.max_range = max_range
-        #: node -> neighbor distances sorted ascending (rank-tiebroken).
-        self.dists = dists
-        #: node -> neighbor ranks in the same (distance, rank) order.
-        self.dist_ranks = dist_ranks
         #: node -> neighbor ranks ascending (registration order).
         self.ranks = ranks
         #: node -> neighbor ids, parallel to :attr:`ranks`.
         self.ids = ids
+        #: node -> neighbor distances, parallel to :attr:`ranks`.
+        self.dists = dists
 
     @classmethod
     def from_positions(
@@ -153,8 +149,8 @@ class ChannelGeometry:
         default) takes each node's cell window from :class:`_SpatialIndex`,
         ``bruteforce`` every other node — the O(N^2) reference scan the
         tests compare against.  Both feed the same exact ``math.hypot``
-        re-measurement and ``(distance, rank)`` sort below, so the choice
-        can never change the result — only how long it takes.
+        re-measurement and rank sort below, so the choice can never change
+        the result — only how long it takes.
         """
         if max_range <= 0:
             raise ValueError("max_range must be positive")
@@ -169,10 +165,9 @@ class ChannelGeometry:
                 % (method,)
             )
         rank_of = {node_id: rank for rank, node_id in enumerate(order)}
-        dists: dict[int, tuple[float, ...]] = {}
-        dist_ranks: dict[int, tuple[int, ...]] = {}
         ranks: dict[int, tuple[int, ...]] = {}
         ids: dict[int, tuple[int, ...]] = {}
+        dists: dict[int, tuple[float, ...]] = {}
         for node_id in order:
             point = positions[node_id]
             x1, y1 = point
@@ -183,16 +178,13 @@ class ChannelGeometry:
                 x2, y2 = positions[other]
                 dist = math.hypot(x1 - x2, y1 - y2)
                 if dist <= max_range:
-                    entries.append((dist, rank_of[other], other))
-            entries.sort()  # (dist, rank) — rank is unique per entry
-            dists[node_id] = tuple(entry[0] for entry in entries)
-            dist_ranks[node_id] = tuple(entry[1] for entry in entries)
-            by_rank = sorted(entries, key=lambda entry: entry[1])
-            ranks[node_id] = tuple(entry[1] for entry in by_rank)
-            ids[node_id] = tuple(entry[2] for entry in by_rank)
-        return cls(
-            order, dict(positions), max_range, dists, dist_ranks, ranks, ids
-        )
+                    entries.append((rank_of[other], other, dist))
+            if entries:
+                entries.sort()  # by rank, which is unique per entry
+                ranks[node_id], ids[node_id], dists[node_id] = zip(*entries)
+            else:
+                ranks[node_id] = ids[node_id] = dists[node_id] = ()
+        return cls(order, dict(positions), max_range, ranks, ids, dists)
 
     @classmethod
     def build(
@@ -209,73 +201,40 @@ class ChannelGeometry:
 class _NeighborTable:
     """Per-node reach table, resolved on first use, patched on position moves.
 
-    ``dists`` is sorted ascending; ``by_dist`` holds ``(rank, phy)`` pairs in
-    the same order, where ``rank`` is the neighbor's registration index so a
-    bisected prefix can be restored to registration order.  ``full`` is the
-    complete in-range receiver list already in registration order — the fast
-    path for maximum-power (control) transmissions — with ``ids`` and
-    ``ranks`` parallel to it (``ranks`` ascending, enabling bisected
-    insert/remove when :meth:`Channel.update_position` patches the table).
+    Four parallel lists in registration order: ``full`` is the complete
+    in-range receiver list — what a maximum-power (control) transmission
+    reaches — with each neighbor's node id in ``ids``, registration index
+    in ``ranks`` (ascending, so :meth:`Channel.update_position` finds a
+    neighbor's slot with one bisect) and distance in ``dists``.
     """
 
-    __slots__ = ("dists", "by_dist", "full", "ids", "ranks")
+    __slots__ = ("full", "ids", "ranks", "dists")
 
     def __init__(
         self,
-        dists: list[float],
-        by_dist: list[tuple[int, "Phy"]],
         full: list["Phy"],
         ids: list[int],
         ranks: list[int],
+        dists: list[float],
     ) -> None:
-        self.dists = dists
-        self.by_dist = by_dist
         self.full = full
         self.ids = ids
         self.ranks = ranks
+        self.dists = dists
 
-    def _place_by_dist(self, rank: int, phy: "Phy", dist: float) -> None:
-        """Insert into the distance-sorted lists at the (dist, rank) slot.
-
-        Among equal distances, rank breaks the tie — the same ordering
-        freeze() produces, which the pinned digests depend on.
-        """
-        index = bisect_right(self.dists, dist)
-        while index > 0 and self.dists[index - 1] == dist and (
-            self.by_dist[index - 1][0] > rank
-        ):
-            index -= 1
-        self.dists.insert(index, dist)
-        self.by_dist.insert(index, (rank, phy))
-
-    def _drop_by_dist(self, rank: int) -> None:
-        """Remove ``rank``'s entry from the distance-sorted lists."""
-        for index, (entry_rank, _) in enumerate(self.by_dist):
-            if entry_rank == rank:
-                del self.dists[index]
-                del self.by_dist[index]
-                return
-
-    def insert(self, rank: int, phy: "Phy", dist: float) -> None:
-        """Add a neighbor, preserving (distance, rank) and rank orderings."""
-        self._place_by_dist(rank, phy, dist)
-        slot = bisect_right(self.ranks, rank)
-        self.ranks.insert(slot, rank)
+    def insert(self, slot: int, rank: int, phy: "Phy", dist: float) -> None:
+        """Add a neighbor at ``slot``, the place of ``rank`` in ``ranks``."""
         self.full.insert(slot, phy)
         self.ids.insert(slot, phy.node_id)
+        self.ranks.insert(slot, rank)
+        self.dists.insert(slot, dist)
 
-    def remove(self, rank: int) -> None:
-        """Drop the neighbor with registration index ``rank``."""
-        self._drop_by_dist(rank)
-        slot = bisect_right(self.ranks, rank) - 1
-        del self.ranks[slot]
+    def remove(self, slot: int) -> None:
+        """Drop the neighbor at ``slot``."""
         del self.full[slot]
         del self.ids[slot]
-
-    def move(self, rank: int, phy: "Phy", dist: float) -> None:
-        """Update a present neighbor's distance, keeping sort invariants."""
-        self._drop_by_dist(rank)
-        self._place_by_dist(rank, phy, dist)
+        del self.ranks[slot]
+        del self.dists[slot]
 
 
 class _NeighborTables(dict):
@@ -315,13 +274,10 @@ class _NeighborTables(dict):
         else:
             phys = self._phys
             table = _NeighborTable(
-                dists=list(geometry.dists[node_id]),
-                by_dist=[
-                    (rank, phys[rank]) for rank in geometry.dist_ranks[node_id]
-                ],
                 full=[phys[rank] for rank in ranks],
                 ids=list(geometry.ids[node_id]),
                 ranks=list(ranks),
+                dists=list(geometry.dists[node_id]),
             )
         self[node_id] = table
         return table
@@ -378,7 +334,6 @@ class Channel:
         self._tables: dict[int, _NeighborTable] = {}
         self._ranks: dict[int, int] = {}
         self._frozen = False
-        self._distance_cache: dict[tuple[int, int], float] = {}
         #: Bucket index over :attr:`positions`; None until a table build
         #: or a move after the last freeze needs it (see :meth:`_index`).
         self._spatial: _SpatialIndex | None = None
@@ -429,14 +384,15 @@ class Channel:
         self._frozen = False  # topology changed; freeze() rebuilds lazily
 
     def distance(self, u: int, v: int) -> float:
-        """Euclidean distance between two nodes in meters."""
-        key = (u, v) if u <= v else (v, u)
-        cached = self._distance_cache.get(key)
-        if cached is None:
-            (x1, y1), (x2, y2) = self.positions[u], self.positions[v]
-            cached = math.hypot(x1 - x2, y1 - y2)
-            self._distance_cache[key] = cached
-        return cached
+        """Euclidean distance between two nodes' current positions, in
+        meters.
+
+        ``math.hypot`` of the two differences; it takes their absolute
+        values, so ``distance(u, v)`` and ``distance(v, u)`` are the same
+        float, and both equal the distance a neighbor table stores.
+        """
+        (x1, y1), (x2, y2) = self.positions[u], self.positions[v]
+        return math.hypot(x1 - x2, y1 - y2)
 
     def freeze(self) -> None:
         """Fix the neighbor geometry; each table resolves on first use.
@@ -497,18 +453,18 @@ class Channel:
         return self._spatial
 
     def _build_table(self, node_id: int) -> _NeighborTable:
-        """Distance-sorted neighbor table of one node at current positions.
+        """Neighbor table of a placed node without a PHY, at current
+        positions.
 
         Measures only the registered nodes the bucket index files within
         range of ``node_id`` (a superset of its neighbors; unregistered
-        placed nodes are skipped), then sorts by ``(distance, rank)`` —
-        rank breaks distance ties so the bisected prefix is reproducible.
+        placed nodes are skipped), then sorts them by rank.
         """
         max_range = self.max_range
         distance = self.distance
         ranks = self._ranks
         phys = self._phys
-        in_range: list[tuple[float, int, "Phy"]] = []
+        in_range: list[tuple[int, float, "Phy"]] = []
         for other in self._index().near((self.positions[node_id],)):
             if other == node_id:
                 continue
@@ -517,25 +473,29 @@ class Channel:
                 continue
             dist = distance(node_id, other)
             if dist <= max_range:
-                in_range.append((dist, ranks[other], phy))
-        in_range.sort(key=lambda item: (item[0], item[1]))
-        by_rank = sorted(in_range, key=lambda item: item[1])
+                in_range.append((ranks[other], dist, phy))
+        return self._table_of(in_range)
+
+    @staticmethod
+    def _table_of(in_range: list[tuple[int, float, "Phy"]]) -> _NeighborTable:
+        """The table of ``(rank, distance, phy)`` entries, sorted by rank."""
+        in_range.sort()  # ranks are unique, so no PHY is ever compared
         return _NeighborTable(
-            dists=[item[0] for item in in_range],
-            by_dist=[(item[1], item[2]) for item in in_range],
-            full=[item[2] for item in by_rank],
-            ids=[item[2].node_id for item in by_rank],
-            ranks=[item[1] for item in by_rank],
+            full=[phy for _, _, phy in in_range],
+            ids=[phy.node_id for _, _, phy in in_range],
+            ranks=[rank for rank, _, _ in in_range],
+            dists=[dist for _, dist, _ in in_range],
         )
 
     def update_position(self, node_id: int, position: tuple[float, float]) -> None:
         """Move ``node_id`` to ``position``, repairing geometry incrementally.
 
         The dynamic-topology entry point (driven by
-        :mod:`repro.sim.mobility` timers).  Cached distances are dropped
-        (they refill lazily and identically), the node's own neighbor
-        table is rebuilt, and every affected node's table is patched in
-        place for the one entry that changed.  Links that appear or
+        :mod:`repro.sim.mobility` timers).  Every affected node's table is
+        patched in place for the one entry that changed — its stored
+        distance while the link holds, an insert or a delete when the
+        link appears or breaks — and the node's own table is rebuilt from
+        the distances the same pass measured.  Links that appear or
         vanish bump :attr:`link_changes` once each (links are undirected;
         both endpoint tables change together because reach is
         symmetric).
@@ -544,21 +504,28 @@ class Channel:
         the *old or new* position: any table holding the mover lies within
         range of the old position, and any table the mover enters lies
         within range of the new one, so the bucket union covers every
-        table the move can change and the repair is O(degree) per move.
+        table the move can change — and every neighbor of the new
+        position — and the repair is O(degree) per move.
         """
-        if node_id not in self.positions:
+        positions = self.positions
+        if node_id not in positions:
             raise ValueError("node %r has no position" % node_id)
         self.position_updates += 1
         if not self._frozen:
-            self._distance_cache.clear()
-            self.positions[node_id] = position
+            positions[node_id] = position
             return  # next freeze() rebuilds everything from positions
         spatial = self._index()
-        old_position = self.positions[node_id]
         tables = self._tables
-        phy = self._phys.get(node_id)
-        near = spatial.near((old_position, position)) if phy is not None else ()
-        if len(tables) < len(self.positions):
+        phys = self._phys
+        phy = phys.get(node_id)
+        if phy is None:
+            # No table lists a node without a PHY; only its own changes.
+            positions[node_id] = position
+            spatial.move(node_id, position)
+            tables[node_id] = self._build_table(node_id)
+            return
+        near = spatial.near((positions[node_id], position))
+        if len(tables) < len(positions):
             # Resolve every table the move can patch before the write
             # below.  A table built through the bucket index (a placed node
             # without a PHY) reads live positions: resolved after the write
@@ -567,30 +534,35 @@ class Channel:
             # would come out right either way.)
             for other in near:
                 tables[other]
-        self._distance_cache.clear()
-        self.positions[node_id] = position
+        positions[node_id] = position
         spatial.move(node_id, position)
-        if phy is not None:
-            rank = self._ranks[node_id]
-            max_range = self.max_range
-            distance = self.distance
-            for other in near:
-                if other == node_id:
-                    continue
-                table = tables[other]
-                dist = distance(other, node_id)
-                slot = bisect_right(table.ranks, rank) - 1
-                present = slot >= 0 and table.ranks[slot] == rank
-                if dist <= max_range:
-                    if present:
-                        table.move(rank, phy, dist)
-                    else:
-                        table.insert(rank, phy, dist)
-                        self.link_changes += 1
-                elif present:
-                    table.remove(rank)
+        ranks = self._ranks
+        rank = ranks[node_id]
+        max_range = self.max_range
+        x, y = position
+        own: list[tuple[int, float, "Phy"]] = []
+        for other in near:
+            if other == node_id:
+                continue
+            table = tables[other]
+            x2, y2 = positions[other]
+            dist = math.hypot(x2 - x, y2 - y)
+            table_ranks = table.ranks
+            slot = bisect_right(table_ranks, rank)
+            present = slot > 0 and table_ranks[slot - 1] == rank
+            if dist <= max_range:
+                if present:
+                    table.dists[slot - 1] = dist
+                else:
+                    table.insert(slot, rank, phy, dist)
                     self.link_changes += 1
-        tables[node_id] = self._build_table(node_id)
+                other_phy = phys.get(other)
+                if other_phy is not None:
+                    own.append((ranks[other], dist, other_phy))
+            elif present:
+                table.remove(slot - 1)
+                self.link_changes += 1
+        tables[node_id] = self._table_of(own)
 
     def _table(self, node_id: int) -> _NeighborTable:
         if not self._frozen:
@@ -620,19 +592,16 @@ class Channel:
     def in_reach(self, src: int, reach: float) -> list["Phy"]:
         """PHYs of nodes within ``reach`` meters of ``src`` (excluding src).
 
-        One bisect over the frozen distance table; the common maximum-power
-        case returns the precomputed full neighbor list.  Always in
-        registration order (see module docstring).
+        The common maximum-power case returns the table's full neighbor
+        list; a reduced reach keeps the entries whose stored distance is
+        within it.  Always in registration order (see module docstring).
         """
         table = self._table(src)
-        dists = table.dists
         if reach >= self.max_range:
             return table.full
-        count = bisect_right(dists, reach)
-        if count == len(dists):
-            return table.full
-        prefix = sorted(table.by_dist[:count])
-        return [phy for _, phy in prefix]
+        return [
+            phy for phy, dist in zip(table.full, table.dists) if dist <= reach
+        ]
 
     # ------------------------------------------------------------------
     # Propagation
@@ -663,17 +632,26 @@ class Channel:
         else:
             # A vetoed reception is silent at the receiver — below the
             # sensitivity floor, so it neither delivers nor holds carrier
-            # sense busy.  Candidate order stays registration order.
+            # sense busy.  Candidate order stays registration order, and
+            # each candidate's distance is the one its table stores.
+            table = self._table(src)
+            candidates = zip(table.full, table.dists)
+            if reach < self.max_range:
+                candidates = [
+                    (phy, dist) for phy, dist in candidates if dist <= reach
+                ]
+                self.model_checks += len(candidates)
+            else:
+                self.model_checks += len(table.full)
+            delivers = model.delivers
             receivers = []
-            for phy in self.in_reach(src, reach):
-                self.model_checks += 1
-                if not model.delivers(
-                    src, phy.node_id, self.distance(src, phy.node_id), reach
-                ):
-                    self.model_drops += 1
-                    continue
-                if phy.rx_start(packet, src):
+            drops = 0
+            for phy, dist in candidates:
+                if not delivers(src, phy.node_id, dist, reach):
+                    drops += 1
+                elif phy.rx_start(packet, src):
                     receivers.append(phy)
+            self.model_drops += drops
         src_phy = self._phys[src]
 
         def _end() -> None:

@@ -8,7 +8,8 @@ links never flap, so route repair and marginal-link avoidance are never
 exercised.  This module opens the link-quality axis with a small registry
 of per-reception admission models layered *on top of* the disc geometry
 (:class:`~repro.sim.channel.Channel` still resolves the candidate receiver
-set from its frozen distance tables; a model only filters it):
+set, and each candidate's distance, from its neighbor tables; a model
+only filters it):
 
 * ``disc`` — the paper's channel: every candidate hears every frame.
   Marked :attr:`~DiscChannelModel.transparent`, so the channel keeps its
@@ -153,12 +154,12 @@ class ProbChannelModel:
         self._rngs.clear()
 
     def _link_rng(self, dst: int, src: int) -> random.Random:
-        rng = self._rngs.get((dst, src))
-        if rng is None:
-            assert self._channel is not None, "model used before bind()"
-            rng = self._rngs[(dst, src)] = self._channel.sim.rng(
-                "channel/%d/%d" % (dst, src)
-            )
+        """Create the ``channel/<dst>/<src>`` stream on the link's first
+        draw."""
+        assert self._channel is not None, "model used before bind()"
+        rng = self._rngs[(dst, src)] = self._channel.sim.rng(
+            "channel/%d/%d" % (dst, src)
+        )
         return rng
 
     def delivers(self, src: int, dst: int, distance: float, reach: float) -> bool:
@@ -172,7 +173,9 @@ class ProbChannelModel:
         if self.loss == 0.0:
             # Exact disc degeneration: no draw, no stream creation.
             return True
-        rng = self._link_rng(dst, src)
+        rng = self._rngs.get((dst, src))
+        if rng is None:
+            rng = self._link_rng(dst, src)
         if self.sigma > 0.0:
             shadow_db = rng.gauss(0.0, self.sigma)
             distance = distance * 10.0 ** (shadow_db / (10.0 * self.exponent))

@@ -18,6 +18,7 @@ orchestrator:
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import random
 
@@ -34,14 +35,14 @@ from repro.experiments.parallel import (
     run_grid,
 )
 from repro.experiments.runner import run_batch, run_single
-from repro.experiments.scenarios import Scenario
+from repro.experiments.scenarios import Scenario, mobile_small
 from repro.experiments.store import (
     ResultStore,
     cell_key,
     scenario_fingerprint,
 )
 from repro.net.topology import uniform_random_placement
-from repro.sim.channel import ChannelGeometry
+from repro.sim.channel import ChannelGeometry, ChannelSpec
 from repro.sim.mobility import MobilitySpec
 from repro.sim.network import WirelessNetwork
 
@@ -88,18 +89,42 @@ class TestChannelGeometry:
         )
 
     def test_distance_ties_break_identically(self):
-        """Grid placements are all ties; orderings must still agree."""
+        """Grid placements are all ties; the tables must still agree, and
+        ``in_reach`` at each tied distance keeps every tied neighbor, in
+        registration order."""
+        from repro.core.energy_model import NodeEnergy
+        from repro.core.radio import CABLETRON
         from repro.net.topology import grid_placement
+        from repro.sim.channel import Channel
+        from repro.sim.engine import Simulator
+        from repro.sim.phy import Phy
 
         placement = grid_placement(7, 300.0, 300.0)  # 49 nodes
-        grid = ChannelGeometry.build(placement.positions, 90.0)
-        brute = ChannelGeometry.build(
-            placement.positions, 90.0, method="bruteforce"
-        )
+        positions = placement.positions
+        grid = ChannelGeometry.build(positions, 90.0)
+        brute = ChannelGeometry.build(positions, 90.0, method="bruteforce")
         assert grid.dists == brute.dists
-        assert grid.dist_ranks == brute.dist_ranks
         assert grid.ranks == brute.ranks
         assert grid.ids == brute.ids
+
+        sim = Simulator(seed=1)
+        channel = Channel(sim, positions, 90.0)
+        for node_id in positions:
+            Phy(sim, channel, node_id, CABLETRON, NodeEnergy(card=CABLETRON))
+        ties = 0
+        for node_id, (x, y) in positions.items():
+            dists = brute.dists[node_id]
+            for reach in sorted(set(dists)):
+                ties += dists.count(reach) > 1
+                within = [
+                    other
+                    for other, (x2, y2) in positions.items()
+                    if other != node_id and math.hypot(x - x2, y - y2) <= reach
+                ]
+                assert [
+                    phy.node_id for phy in channel.in_reach(node_id, reach)
+                ] == within, (node_id, reach)
+        assert ties > 0
 
     def test_prebuilt_geometry_run_is_bit_identical(self, tiny_grid):
         base = run_single(tiny_grid, "DSR-ODPM", 2.0, 1)
@@ -145,8 +170,8 @@ class TestChannelGeometry:
             assert a.dists == b.dists
             assert a.ids == b.ids
             assert a.ranks == b.ranks
-            assert [rank for rank, _ in a.by_dist] == [
-                rank for rank, _ in b.by_dist
+            assert [phy.node_id for phy in a.full] == [
+                phy.node_id for phy in b.full
             ]
 
 
@@ -169,16 +194,35 @@ class TestRunBatch:
 
     def test_batch_under_mobility_does_not_leak_table_patches(self, tiny_grid):
         """Mobility mutates neighbor tables in place; a shared geometry must
-        hand every seed pristine tables."""
-        mobile = tiny_grid.with_mobility(
+        hand every seed pristine tables.
+
+        The tiny grid never changes a link inside its horizon; the smoke
+        ``mobile_small`` field on one placement does, and its lossy model
+        reads the patched table distances on every frame, so a patch
+        leaked into the next seed's tables would move its payload.
+        """
+        mobile_grid = tiny_grid.with_mobility(
             MobilitySpec(v_min=1.0, v_max=3.0, pause=1.0, step=0.5)
         )
+        lossy_field = (
+            mobile_small("smoke")
+            .with_fixed_placement(1)
+            .with_channel(ChannelSpec("prob", (("loss", 0.2), ("sigma", 3.0))))
+        )
         seeds = (1, 2)
-        batched = run_batch(mobile, "DSR-ODPM", 2.0, seeds)
-        singles = [
-            run_single(mobile, "DSR-ODPM", 2.0, seed) for seed in seeds
-        ]
-        assert _payloads(batched) == _payloads(singles)
+        for scenario, protocol, rate in (
+            (mobile_grid, "DSR-ODPM", 2.0),
+            (lossy_field, "TITAN-PC", 4.0),
+        ):
+            batched = run_batch(scenario, protocol, rate, seeds)
+            singles = [
+                run_single(scenario, protocol, rate, seed) for seed in seeds
+            ]
+            if scenario is lossy_field:
+                for result in singles:
+                    assert result.dynamics["link_changes"] > 0
+                    assert result.channel["model_checks"] > 0
+            assert _payloads(batched) == _payloads(singles)
 
     def test_fixed_placement_shares_topology_across_seeds(self, tiny_random):
         pinned = tiny_random.with_fixed_placement(7)

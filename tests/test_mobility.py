@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -79,18 +80,27 @@ class TestIncrementalChannel:
             assert patched.dists == fresh.dists
             assert patched.ids == fresh.ids
             assert patched.ranks == fresh.ranks
-            assert [
-                (rank, phy.node_id) for rank, phy in patched.by_dist
-            ] == [(rank, phy.node_id) for rank, phy in fresh.by_dist]
             assert [phy.node_id for phy in patched.full] == [
                 phy.node_id for phy in fresh.full
             ]
+            assert patched.ids == [phy.node_id for phy in patched.full]
+            x1, y1 = live[node_id]
+            assert patched.dists == [
+                math.hypot(x1 - live[other][0], y1 - live[other][1])
+                for other in patched.ids
+            ]
 
-    def test_distance_cache_invalidated(self):
+    def test_distance_reads_live_positions(self):
+        """``distance`` measures the current positions, after a move as
+        before it, and is the same float in either argument order."""
         channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
-        assert channel.distance(0, 1) == pytest.approx(100.0)
+        assert channel.distance(0, 1) == 100.0
         channel.update_position(1, (0.0, 40.0))
-        assert channel.distance(0, 1) == pytest.approx(40.0)
+        assert channel.distance(0, 1) == channel.distance(1, 0) == 40.0
+        channel.update_position(0, (0.1, 0.3))
+        assert channel.distance(0, 1) == math.hypot(0.1, 0.3 - 40.0)
+        assert channel.distance(1, 0) == channel.distance(0, 1)
+        assert channel._tables[0].dists == [channel.distance(0, 1)]
 
     def test_link_changes_counted_once_per_link(self):
         """Moving out of range breaks one undirected link, counted once."""

@@ -2,10 +2,10 @@
 
 The cell-list candidate pass and the bucket-limited mobility repair are
 *optimizations*: they must be byte-identical to the O(N^2) reference scan
-— same distances, same rank order, same tie-breaks — for every position
+— same neighbors, same rank order, same distances — for every position
 set, including the adversarial ones (collinear lines, duplicate
 distances, coordinates pinned to bucket boundaries, whole networks inside
-one bucket).  This module asserts exactly that, three ways:
+one bucket).  This module asserts exactly that, four ways:
 
 * :class:`TestGeometryEquivalence` — ``ChannelGeometry`` built with
   ``method="grid"`` equals ``method="bruteforce"`` on adversarial
@@ -17,6 +17,10 @@ one bucket).  This module asserts exactly that, three ways:
   the first time it is read: before any move it equals the geometry's
   table, and tables first read after moves equal a fresh brute-force
   freeze, with ``link_changes`` the running count of changed links;
+* :class:`TestReducedReach` — ``in_reach`` at any reach below the range
+  equals the bisect-and-sort answer of a distance-sorted brute-force
+  table, before and after moves, and a channel model is handed each
+  candidate's live distance;
 * :class:`TestStaleGeometryWarning` — a rejected prebuilt geometry is
   *correct* (the ignore path) and now *observable* (the
   ``geometry_mismatches`` counter, surfaced as ``RunResult.warnings``).
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +47,7 @@ from repro.net.topology import Placement
 from repro.sim.channel import Channel, ChannelGeometry, _SpatialIndex
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkConfig, WirelessNetwork
+from repro.sim.packet import BROADCAST, PacketKind, make_control_packet
 from repro.sim.phy import Phy
 from repro.traffic.cbr import FlowStats
 from repro.traffic.flows import FlowSpec
@@ -56,15 +62,19 @@ RANGE = CABLETRON.max_range  # 250 m
 
 
 def _assert_same_geometry(a: ChannelGeometry, b: ChannelGeometry) -> None:
-    """Byte-for-byte equality of every per-node table a freeze would build."""
+    """Byte-for-byte equality of every per-node table a freeze would build,
+    each in strictly ascending rank order with ids matching ranks."""
     assert a.order == b.order
     assert a.positions == b.positions
     assert a.max_range == b.max_range
     for node_id in a.order:
-        assert a.dists[node_id] == b.dists[node_id], node_id
-        assert a.dist_ranks[node_id] == b.dist_ranks[node_id], node_id
         assert a.ranks[node_id] == b.ranks[node_id], node_id
         assert a.ids[node_id] == b.ids[node_id], node_id
+        assert a.dists[node_id] == b.dists[node_id], node_id
+        ranks = a.ranks[node_id]
+        assert list(ranks) == sorted(set(ranks)), node_id
+        assert a.ids[node_id] == tuple(a.order[rank] for rank in ranks)
+        assert len(a.dists[node_id]) == len(ranks), node_id
 
 
 def _build_channel(
@@ -80,10 +90,10 @@ def _build_channel(
 
 
 def _table_snapshot(channel: Channel, node_id: int):
+    """``(dists, full ids, ids, ranks)`` of ``node_id``'s table."""
     table = channel._tables[node_id]
     return (
         list(table.dists),
-        [(rank, phy.node_id) for rank, phy in table.by_dist],
         [phy.node_id for phy in table.full],
         list(table.ids),
         list(table.ranks),
@@ -92,10 +102,8 @@ def _table_snapshot(channel: Channel, node_id: int):
 
 def _geometry_snapshot(geometry: ChannelGeometry, node_id: int):
     """The :func:`_table_snapshot` a freeze from ``geometry`` would give."""
-    order = geometry.order
     return (
         list(geometry.dists[node_id]),
-        [(rank, order[rank]) for rank in geometry.dist_ranks[node_id]],
         list(geometry.ids[node_id]),
         list(geometry.ids[node_id]),
         list(geometry.ranks[node_id]),
@@ -132,9 +140,36 @@ def _direct_table(
     node_id: int,
     max_range: float = RANGE,
 ):
-    """``(dists, ids)`` of ``node_id``'s table by a scan of every
-    registered node: dists by ``(distance, registration rank)``, ids in
-    registration order."""
+    """The :func:`_table_snapshot` of ``node_id`` by a scan of every
+    registered node, in registration order."""
+    x1, y1 = positions[node_id]
+    dists, ids, ranks = [], [], []
+    for rank, other in enumerate(registered):
+        if other == node_id:
+            continue
+        x2, y2 = positions[other]
+        dist = math.hypot(x1 - x2, y1 - y2)
+        if dist <= max_range:
+            dists.append(dist)
+            ids.append(other)
+            ranks.append(rank)
+    return (dists, ids, list(ids), ranks)
+
+
+def _node_ids(phys) -> list[int]:
+    return [phy.node_id for phy in phys]
+
+
+def _distance_sorted_table(
+    positions: dict[int, tuple[float, float]],
+    registered: list[int],
+    node_id: int,
+    max_range: float = RANGE,
+):
+    """``(dists, by_dist, full)`` of a distance-sorted table by a scan of
+    every registered node: ``dists`` ascending, ``by_dist`` the
+    ``(rank, node id)`` pairs in the same ``(distance, rank)`` order and
+    ``full`` the node ids in registration order."""
     x1, y1 = positions[node_id]
     entries = []
     for rank, other in enumerate(registered):
@@ -147,8 +182,22 @@ def _direct_table(
     entries.sort()
     return (
         [dist for dist, _, _ in entries],
+        [(rank, other) for _, rank, other in entries],
         [other for _, _, other in sorted(entries, key=lambda e: e[1])],
     )
+
+
+def _bisect_and_sort(table, reach: float, max_range: float = RANGE):
+    """The reference answer of ``in_reach``: one bisect over a
+    distance-sorted table, then the prefix sorted back to rank order."""
+    dists, by_dist, full = table
+    if reach >= max_range:
+        return full
+    count = bisect_right(dists, reach)
+    if count == len(dists):
+        return full
+    prefix = sorted(by_dist[:count])
+    return [phy for _, phy in prefix]
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +322,9 @@ class TestGeometryEquivalence:
         _assert_same_geometry(brute, grid)
 
     def test_rank_tie_breaks_preserved(self):
-        """Equal distances order by registration rank in every method."""
-        # Four nodes equidistant from node 0, registered out of id order.
+        """Equal distances keep registration order in every method, and
+        ``in_reach`` at exactly the tied distance returns them all in it."""
+        # Four nodes equidistant from node 7, registered out of id order.
         positions = {
             7: (0.0, 0.0),
             3: (100.0, 0.0),
@@ -287,10 +337,17 @@ class TestGeometryEquivalence:
         )
         grid = ChannelGeometry.from_positions(positions, RANGE, method="grid")
         _assert_same_geometry(brute, grid)
-        # All four neighbors of node 7 sit at exactly 100 m; the by-dist
-        # order must be rank order (registration order 3, 9, 1, 5).
         assert brute.dists[7] == (100.0, 100.0, 100.0, 100.0)
-        assert brute.dist_ranks[7] == (1, 2, 3, 4)
+        assert brute.ranks[7] == (1, 2, 3, 4)
+        assert brute.ids[7] == (3, 9, 1, 5)
+        channel = _build_channel(positions)
+        assert _node_ids(channel.in_reach(7, 100.0)) == [3, 9, 1, 5]
+        assert channel.in_reach(7, math.nextafter(100.0, 0.0)) == []
+        # From node 3, nodes 1 and 5 tie at an inexact distance.
+        diagonal = math.hypot(100.0, 100.0)
+        assert _node_ids(channel.in_reach(3, diagonal)) == [7, 1, 5]
+        below = math.nextafter(diagonal, 0.0)
+        assert _node_ids(channel.in_reach(3, below)) == [7]
 
     def test_exact_range_boundary_included(self):
         """A pair at exactly max_range is a link — in every method."""
@@ -301,6 +358,7 @@ class TestGeometryEquivalence:
             )
             assert geometry.ids[0] == (1,), method
             assert geometry.dists[0] == (RANGE,), method
+            assert geometry.ranks[0] == (1,), method
 
     @given(
         coords=st.lists(
@@ -426,12 +484,6 @@ class TestIndexedMobilityRepair:
                 assert _table_snapshot(channel, node_id) == _table_snapshot(
                     reference, node_id
                 ), (mover, target)
-
-    def test_distance_cache_refreshes_after_indexed_move(self):
-        channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
-        assert channel.distance(0, 1) == pytest.approx(100.0)
-        channel.update_position(1, (0.0, 40.0))
-        assert channel.distance(0, 1) == pytest.approx(40.0)
 
     def test_link_changes_counted_once_per_link_indexed(self):
         channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
@@ -637,8 +689,7 @@ class TestTablesOnFirstUse:
             channel.update_position(mover, target)
         assert len(channel._tables) < len(positions)
         for node_id in positions:
-            table = channel._tables[node_id]
-            assert (table.dists, table.ids) == _direct_table(
+            assert _table_snapshot(channel, node_id) == _direct_table(
                 live, registered, node_id
             ), node_id
         assert channel.link_changes == changed
@@ -671,8 +722,7 @@ class TestRegistrationOrderFreeze:
         registered = list(positions)[::-2]  # every other node, reversed
         channel = _register(positions, registered)
         for node_id in positions:
-            table = channel._tables[node_id]
-            assert (table.dists, table.ids) == _direct_table(
+            assert _table_snapshot(channel, node_id) == _direct_table(
                 positions, registered, node_id
             ), node_id
 
@@ -684,8 +734,7 @@ class TestRegistrationOrderFreeze:
         channel = _register(positions, registered)
         assert channel.geometry_mismatches == 0
         for node_id in positions:
-            table = channel._tables[node_id]
-            assert (table.dists, table.ids) == _direct_table(
+            assert _table_snapshot(channel, node_id) == _direct_table(
                 positions, registered, node_id
             ), node_id
 
@@ -705,10 +754,148 @@ class TestRegistrationOrderFreeze:
             live[mover] = target
             channel.update_position(mover, target)
             for node_id in live:
-                table = channel._tables[node_id]
-                assert (table.dists, table.ids) == _direct_table(
+                assert _table_snapshot(channel, node_id) == _direct_table(
                     live, registered, node_id
                 ), (mover, node_id)
+
+
+def _adversarial_script(positions, name: str, steps: int):
+    """``steps`` moves onto other nodes, onto cell corners, exactly one
+    range away and just beyond it (the moves of
+    ``test_adversarial_moves_match_fresh_freeze``)."""
+    live = dict(positions)
+    ids = list(positions)
+    rng = random.Random("reduced-reach/" + name)
+    script = []
+    for step in range(steps):
+        mover = rng.choice(ids)
+        anchor = live[rng.choice(ids)]
+        kind = step % 4
+        if kind == 0:
+            target = anchor
+        elif kind == 1:
+            target = (rng.randint(-3, 3) * RANGE, rng.randint(-3, 3) * RANGE)
+        elif kind == 2:
+            target = (anchor[0] + RANGE, anchor[1])
+        else:
+            target = (anchor[0], anchor[1] - RANGE * (1 + 1e-12))
+        live[mover] = target
+        script.append((mover, target))
+    return script
+
+
+def _probe_reaches(dists) -> list[float]:
+    """0, every neighbor distance and its neighbors 1 ulp away, the range
+    and beyond it."""
+    reaches = [0.0, RANGE, math.nextafter(RANGE, math.inf), 2 * RANGE]
+    for dist in dists:
+        reaches += [
+            dist,
+            math.nextafter(dist, -math.inf),
+            math.nextafter(dist, math.inf),
+        ]
+    return reaches
+
+
+class _RecordingModel:
+    """A non-transparent channel model that records every ``delivers``
+    call with the live distance of its link, and vetoes a fixed pattern
+    of links."""
+
+    name = "recording"
+    transparent = False
+
+    def __init__(self) -> None:
+        self.channel = None
+        self.calls: list[tuple[int, int, float, float, float]] = []
+        self.vetoes = 0
+
+    def bind(self, channel) -> None:
+        self.channel = channel
+
+    def delivers(self, src, dst, distance, reach) -> bool:
+        (x1, y1) = self.channel.positions[src]
+        (x2, y2) = self.channel.positions[dst]
+        live = math.hypot(x1 - x2, y1 - y2)
+        self.calls.append((src, dst, distance, reach, live))
+        if (src + 2 * dst) % 3 == 0:
+            self.vetoes += 1
+            return False
+        return True
+
+
+class TestReducedReach:
+    """``in_reach`` below the range filters the rank-ordered table by its
+    stored distances; the answer must equal the bisect-and-sort over a
+    distance-sorted table of the live positions, at every reach a tie or
+    a rounding step could split."""
+
+    def _assert_reference(self, channel, live, registered):
+        for src in registered:
+            reference = _distance_sorted_table(live, registered, src)
+            for reach in _probe_reaches(reference[0]):
+                assert _node_ids(channel.in_reach(src, reach)) == (
+                    _bisect_and_sort(reference, reach)
+                ), (src, reach)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
+    def test_in_reach_equals_bisect_and_sort(self, name):
+        positions = ADVERSARIAL_SETS[name]()
+        registered = list(positions)
+        channel = _build_channel(dict(positions))
+        live = dict(positions)
+        self._assert_reference(channel, live, registered)
+        script = _adversarial_script(positions, name, 24)
+        for step, (mover, target) in enumerate(script):
+            live[mover] = target
+            channel.update_position(mover, target)
+            if step % 6 == 5:
+                self._assert_reference(channel, live, registered)
+
+    def test_in_reach_equals_bisect_and_sort_partial_registration(self):
+        """Tables of placed nodes without a PHY list only registered ones."""
+        positions = _duplicate_distances()
+        registered = [i for i in positions if i % 4][::-1]
+        channel = _register(dict(positions), registered)
+        live = dict(positions)
+        for mover, target in _adversarial_script(positions, "partial", 12):
+            live[mover] = target
+            channel.update_position(mover, target)
+        self._assert_reference(channel, live, registered)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
+    def test_model_gets_live_distances_after_moves(self, name):
+        positions = ADVERSARIAL_SETS[name]()
+        sim = Simulator(seed=1)
+        model = _RecordingModel()
+        channel = Channel(sim, dict(positions), RANGE, model=model)
+        for node_id in positions:
+            Phy(sim, channel, node_id, CABLETRON, NodeEnergy(card=CABLETRON))
+        channel.freeze()
+        for mover, target in _adversarial_script(positions, name, 24):
+            channel.update_position(mover, target)
+        for src in positions:
+            dists = sorted(set(channel._tables[src].dists))
+            for reach in [RANGE, RANGE / 2] + dists[::3]:
+                seen = len(model.calls)
+                channel.begin_transmission(
+                    src,
+                    make_control_packet(
+                        PacketKind.ROUTING, src=src, dst=BROADCAST,
+                        size_bytes=40,
+                    ),
+                    0.001,
+                    reach,
+                )
+                calls = model.calls[seen:]
+                assert [dst for _, dst, _, _, _ in calls] == _node_ids(
+                    channel.in_reach(src, reach)
+                ), (src, reach)
+                for caller, _, distance, asked, live in calls:
+                    assert (caller, asked) == (src, reach)
+                    assert distance == live and distance <= reach
+        assert channel.model_checks == len(model.calls) > 0
+        assert channel.model_drops == model.vetoes > 0
 
 
 # ----------------------------------------------------------------------
