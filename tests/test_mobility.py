@@ -90,9 +90,11 @@ class TestIncrementalChannel:
                 for other in patched.ids
             ]
 
-    def test_distance_reads_live_positions(self):
-        """``distance`` measures the current positions, after a move as
-        before it, and is the same float in either argument order."""
+    def test_distance_cache_invalidated(self):
+        """No stale distance outlives a move: ``distance`` measures the
+        current positions (there is no distance cache to invalidate),
+        after a move as before it, and is the same float in either
+        argument order."""
         channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
         assert channel.distance(0, 1) == 100.0
         channel.update_position(1, (0.0, 40.0))

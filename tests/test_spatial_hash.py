@@ -485,6 +485,14 @@ class TestIndexedMobilityRepair:
                     reference, node_id
                 ), (mover, target)
 
+    def test_distance_cache_refreshes_after_indexed_move(self):
+        """A move through the bucket index leaves no stale distance."""
+        channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
+        assert channel.distance(0, 1) == pytest.approx(100.0)
+        channel.update_position(1, (0.0, 40.0))
+        assert channel.distance(0, 1) == pytest.approx(40.0)
+        assert channel._tables[0].dists == [channel.distance(0, 1)]
+
     def test_link_changes_counted_once_per_link_indexed(self):
         channel = _build_channel({0: (0.0, 0.0), 1: (100.0, 0.0)})
         far = channel.max_range * 10
