@@ -12,9 +12,10 @@ This module splits the policy from the layout:
 
 * :class:`StoreBackend` — the raw-entry interface
   (``get/put/keys/entries/verify/quarantine`` plus maintenance hooks).
-  Backends move *entry dicts*; digest verification, hit/miss accounting
-  and payload decoding stay in ``ResultStore``, so every integrity
-  guarantee is backend-agnostic by construction.
+  Backends move *entry dicts*; the entry format — the integrity rule,
+  payload decoding, hit/miss accounting — stays in
+  :mod:`repro.experiments.store`, so every integrity guarantee is
+  backend-agnostic by construction.
 * :class:`LocalJsonBackend` — the historical layout, byte-identical:
   the same paths, the same ``sort_keys=True`` file bytes (once written
   by ``json.dump``, now by ``json.dumps``), the same
@@ -54,9 +55,6 @@ from typing import Iterator, Mapping, Sequence
 #: Filename that marks (and holds) a sqlite-backed campaign store.
 SQLITE_STORE_FILENAME = "store.sqlite"
 
-#: Entry-dict key holding the digested payload body, per entry kind.
-BODY_KEYS = {"runs": "result", "routes": "routes"}
-
 
 def canonical_digest(payload: Mapping) -> str:
     """sha256 hexdigest of the canonical (sorted, compact) JSON of ``payload``.
@@ -70,12 +68,14 @@ def canonical_digest(payload: Mapping) -> str:
 
 
 class StoreCorruption(RuntimeError):
-    """A backend found unreadable bytes where an entry dict should be.
+    """A stored entry is not sound.
 
     Raised by :meth:`StoreBackend.get` when the stored representation
     exists but does not decode to a JSON object (torn write, bit rot, a
-    stray editor).  The store reacts by quarantining the entry and
-    treating the key as a miss, so the cell transparently re-simulates.
+    stray editor), and by :func:`~repro.experiments.store.check_entry`
+    when an entry dict breaks the store's integrity rule.  Lookups react
+    by quarantining the entry and treating the key as a miss, so the cell
+    transparently re-simulates.
     """
 
     def __init__(self, kind: str, key: str, why: str) -> None:
@@ -486,7 +486,7 @@ class MergeReport:
 
     ``merged`` entries were copied into the destination, ``identical``
     already existed there with a matching digest (the overlap case),
-    ``corrupt`` source entries failed their own digest re-check and were
+    ``corrupt`` source entries failed the store's integrity rule and were
     left behind (the destination never inherits rot).
     """
 
@@ -515,64 +515,45 @@ class MergeReport:
         )
 
 
-def _entry_digest(kind: str, entry: dict) -> str:
-    """The comparable digest of one entry: recorded, else recomputed.
-
-    Entries written since PR 5 record their payload digest; legacy
-    entries fall back to a digest of the payload body, so merges of old
-    caches still detect divergence instead of ignoring it.
-    """
-    recorded = entry.get("digest")
-    if isinstance(recorded, str):
-        return recorded
-    body = entry.get(BODY_KEYS.get(kind, "result"))
-    return canonical_digest(body if body is not None else entry)
-
-
-def _entry_sound(kind: str, entry: dict) -> bool:
-    """True when an entry's recorded digest matches its payload body."""
-    recorded = entry.get("digest")
-    if recorded is None:
-        return True  # legacy entry: nothing recorded to check against
-    body = entry.get(BODY_KEYS.get(kind, "result"))
-    return body is not None and canonical_digest(body) == recorded
-
-
 def merge_stores(sources: Sequence, dest) -> MergeReport:
     """Fold ``sources`` (ResultStores, any backend mix) into ``dest``.
 
-    Every live source entry is digest-re-verified before it is copied —
+    Every live source entry must pass the store's integrity rule
+    (:func:`~repro.experiments.store.check_entry`) before it is copied —
     a shard that rotted in transit contributes nothing rather than
     poisoning the aggregate — and overlapping keys must agree by digest
-    (see :class:`StoreMergeConflict`).  The destination may already hold
-    earlier shards: merging is incremental and idempotent, so a machine
-    can fold shards in as they arrive and re-fold a shard after a retry.
-    Returns a :class:`MergeReport`; raises on the first conflict.
+    (see :class:`StoreMergeConflict`); a sound copy replaces an unsound
+    destination entry.  The destination may already hold earlier shards:
+    merging is incremental and idempotent, so a machine can fold shards
+    in as they arrive and re-fold a shard after a retry.  Returns a
+    :class:`MergeReport`; raises on the first conflict.
     """
+    from repro.experiments.store import check_entry
+
     report = MergeReport(sources=len(sources))
-    for kind in ("runs", "routes"):
+    for kind in dest.KINDS:
         for source in sources:
             for key, entry in source.backend.entries(kind):
-                if entry is None or not _entry_sound(kind, entry):
+                try:
+                    digest = check_entry(kind, key, entry)
+                except StoreCorruption:
                     report.corrupt += 1
                     continue
                 try:
-                    existing = dest.backend.get(kind, key)
+                    held = check_entry(kind, key, dest.backend.get(kind, key))
                 except StoreCorruption:
-                    existing = None  # rotted in dest: sound copy replaces it
-                if existing is not None:
-                    if _entry_digest(kind, existing) != _entry_digest(
-                        kind, entry
-                    ):
-                        raise StoreMergeConflict(
-                            kind,
-                            key,
-                            "source %s disagrees with destination %s"
-                            % (source.root, dest.root),
-                        )
+                    held = None  # absent, or unsound in dest: the copy heals it
+                if held is None:
+                    dest.backend.put(kind, key, entry)
+                    report.merged += 1
+                    report.by_kind[kind] = report.by_kind.get(kind, 0) + 1
+                elif held == digest:
                     report.identical += 1
-                    continue
-                dest.backend.put(kind, key, entry)
-                report.merged += 1
-                report.by_kind[kind] = report.by_kind.get(kind, 0) + 1
+                else:
+                    raise StoreMergeConflict(
+                        kind,
+                        key,
+                        "source %s disagrees with destination %s"
+                        % (source.root, dest.root),
+                    )
     return report

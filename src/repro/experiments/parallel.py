@@ -472,10 +472,16 @@ def _terminate_workers(
 class _Dispatcher:
     """Fault-tolerant execution of dispatch units, serial or pooled.
 
-    One instance per :func:`_dispatch` call.  Responsibilities:
+    One instance per :func:`run_grid` sweep or :func:`_run_cached`
+    fan-out.  Responsibilities:
 
     * run units in this process (``jobs <= 1`` or a single unit) or fan
-      them out across a process pool;
+      them out across a process pool — ``task`` must then be picklable
+      (a top-level function or a :func:`functools.partial` of one), and
+      ``initializer``/``initargs`` replace the default worker-marking
+      pool initializer (sweeps ship their :class:`_UnitSpec` this way);
+    * hand each finished unit to ``record``, always in the parent
+      process, and feed ``reporter`` worker-utilization samples;
     * classify failures — :class:`GridCellError` is deterministic (never
       retried); ``BrokenProcessPool``, a timeout and a unit whose
       ``record`` hands back an unverified remainder are transient
@@ -493,11 +499,11 @@ class _Dispatcher:
         task: Callable,
         record: Callable,
         jobs: int,
-        policy: FaultPolicy,
+        policy: FaultPolicy | None,
         interrupt: InterruptGuard | None,
-        cells_of: Callable[[object], list] | None,
+        cells_of: Callable[[object], list],
         on_failure: Callable | None,
-        split: Callable | None,
+        split: Callable | None = None,
         initializer: Callable | None = None,
         initargs: tuple = (),
         reporter: "ProgressReporter | None" = None,
@@ -505,9 +511,9 @@ class _Dispatcher:
         self.task = task
         self.record = record
         self.jobs = jobs
-        self.policy = policy
+        self.policy = policy if policy is not None else FaultPolicy()
         self.interrupt = interrupt
-        self.cells_of = cells_of or (lambda item: [item])
+        self.cells_of = cells_of
         self.on_failure = on_failure or (lambda *args: None)
         self.split = split
         self.initializer = initializer if initializer is not None else _mark_worker
@@ -792,49 +798,6 @@ class _Dispatcher:
         return hit
 
 
-def _dispatch(
-    pending: Sequence[_Item],
-    task: Callable[[_Item], _Result],
-    record: Callable[[_Item, _Result], _Item | None],
-    jobs: int,
-    policy: FaultPolicy | None = None,
-    interrupt: InterruptGuard | None = None,
-    cells_of: Callable[[_Item], list] | None = None,
-    on_failure: Callable[[CellFailure], None] | None = None,
-    split: Callable[[_Item, GridCellError], list] | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-    reporter: "ProgressReporter | None" = None,
-) -> None:
-    """Run ``task`` over ``pending`` serially or via a process pool.
-
-    ``task`` must be picklable when the run is pooled (a top-level
-    function or a :func:`functools.partial` of one).  ``record`` is
-    always invoked in the parent process; it may return a remainder of
-    the unit to retry as a transient failure.  Failure behaviour,
-    retries and timeouts follow ``policy`` (default: fail fast, no
-    retries — the pre-resilience contract); ``interrupt`` enables
-    graceful SIGINT/SIGTERM draining.  ``initializer``/``initargs``
-    replace the default worker-marking pool initializer (sweeps ship
-    their :class:`_UnitSpec` this way); ``reporter`` receives
-    worker-utilization samples from the poll loop.  See
-    :class:`_Dispatcher` for the semantics.
-    """
-    _Dispatcher(
-        task=task,
-        record=record,
-        jobs=jobs,
-        policy=policy if policy is not None else FaultPolicy(),
-        interrupt=interrupt,
-        cells_of=cells_of,
-        on_failure=on_failure,
-        split=split,
-        initializer=initializer,
-        initargs=initargs,
-        reporter=reporter,
-    ).run(pending)
-
-
 def _partition_cached(
     items: Sequence[_Item],
     get: Callable[[_Item], _Result | None],
@@ -868,8 +831,9 @@ def _run_cached(
     """Cached per-item fan-out (:func:`discover_routes`).
 
     Looks every item up via ``get`` first, dispatches the misses through
-    :func:`_dispatch`, persists fresh results via ``put`` (in the parent
-    process), and feeds the reporter throughout.
+    a :class:`_Dispatcher` (``policy`` default: fail fast, no retries),
+    persists fresh results via ``put`` (in the parent process), and feeds
+    the reporter throughout.
     """
     results, pending = _partition_cached(items, get, reporter)
 
@@ -878,17 +842,16 @@ def _run_cached(
         put(item, result)
         reporter.advance(label(item))
 
-    _dispatch(
-        pending,
-        task,
-        _record,
-        jobs,
+    _Dispatcher(
+        task=task,
+        record=_record,
+        jobs=jobs,
         policy=policy,
         interrupt=interrupt,
         cells_of=lambda item: [label(item)],
         on_failure=on_failure,
         reporter=reporter,
-    )
+    ).run(pending)
     return results
 
 
@@ -1125,7 +1088,6 @@ def run_grid(
         mode; cells marked done before it are persisted and verified.
     """
     cells = list(cells)
-    policy = policy if policy is not None else FaultPolicy()
 
     def _key(cell: GridCell) -> str:
         return cell_key(scenario, cell.protocol, cell.rate_kbps, cell.seed)
@@ -1222,11 +1184,10 @@ def run_grid(
     else:
         task, setup = _UnitContext(spec).run, {}
     try:
-        _dispatch(
-            units,
-            task,
-            _record,
-            jobs if pooled else 1,
+        _Dispatcher(
+            task=task,
+            record=_record,
+            jobs=jobs if pooled else 1,
             policy=policy,
             interrupt=interrupt,
             cells_of=GridBatch.cells,
@@ -1234,7 +1195,7 @@ def run_grid(
             split=_split_batch,
             reporter=reporter,
             **setup,
-        )
+        ).run(units)
     except SweepInterrupted as exc:
         exc.done = reporter.done
         exc.total = reporter.total

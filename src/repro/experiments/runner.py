@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.energy_model import FlowRoute, RouteEnergyEvaluator
 from repro.metrics.collectors import AggregateResult, RunResult, aggregate_runs
@@ -55,7 +55,7 @@ def run_single(
     from repro.experiments.resilience import maybe_inject_fault
 
     maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
-    return _run_cell(scenario, protocol, rate_kbps, seed)
+    return _run_cell(scenario, protocol, rate_kbps, seed, WirelessNetwork.run)
 
 
 def _run_cell(
@@ -63,18 +63,24 @@ def _run_cell(
     protocol: str,
     rate_kbps: float,
     seed: int,
+    use: Callable,
     placement=None,
     geometry=None,
-) -> RunResult:
-    """Build, run and close one cell with the cyclic collector paused.
+):
+    """Build one cell's network, hand it to ``use`` and close it, all with
+    the cyclic collector paused; returns what ``use`` returned.
 
+    ``use`` is :meth:`WirelessNetwork.run` for a grid cell.
     :meth:`WirelessNetwork.close` breaks every reference cycle of a
     finished network, so reference counting frees it and a cell leaves
     no cyclic garbage (``tests/test_teardown.py``).  Automatic passes
     during the cell would only walk the live network that assembly just
     allocated; should a cell ever leave cycles, the first pass after it
     collects them.  The caller's ``gc.isenabled()`` setting is restored
-    on every exit, exceptions included.
+    on every exit, exceptions included.  It comes back as the last step,
+    with nothing allocated before this frame drops the network: a
+    network ``use`` does not return is freed by reference counting
+    before any automatic pass can walk it.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -82,7 +88,7 @@ def _run_cell(
         config = scenario.config(protocol, rate_kbps, seed, placement=placement)
         network = WirelessNetwork(config, geometry=geometry)
         try:
-            return network.run()
+            return use(network)
         finally:
             network.close()
     finally:
@@ -139,7 +145,8 @@ def _run_seed(
     try:
         maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
         return _run_cell(
-            scenario, protocol, rate_kbps, seed, placement, geometry
+            scenario, protocol, rate_kbps, seed, WirelessNetwork.run,
+            placement, geometry,
         )
     except Exception as exc:
         cell = GridCell(protocol, float(rate_kbps), int(seed))
@@ -344,10 +351,13 @@ def stabilize_routes(
     routes stabilize for the 2 Kbit/s and use these routes to calculate
     E_network for higher rates".  Flows without a stable route fall back to
     the shortest path in the connectivity graph (rare; start-up artifact).
+    The probe is built, run and closed like a grid cell
+    (:func:`_run_cell`), so the returned network keeps its counters and
+    flow statistics but cannot run again.
     """
-    network = WirelessNetwork(scenario.config(protocol, probe_rate_kbps, seed))
-    network.run()
-    routes = network.extract_routes()
+    network, routes = _run_cell(
+        scenario, protocol, probe_rate_kbps, seed, _probe
+    )
     if len(routes) < len(network.flow_stats):
         import networkx as nx
 
@@ -361,6 +371,12 @@ def stabilize_routes(
                 path = nx.shortest_path(graph, spec.source, spec.destination)
                 routes[spec.flow_id] = tuple(path)
     return network, routes
+
+
+def _probe(network: WirelessNetwork):
+    """Run a probe network; read its routes before it is closed."""
+    network.run()
+    return network, network.extract_routes()
 
 
 def frozen_routes(

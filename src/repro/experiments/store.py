@@ -39,15 +39,20 @@ re-simulating) and, when the writer supplied one, the scenario
 fingerprint it belongs to (so ``repro cache ls`` can count entries per
 scenario).  Entries written before these fields existed decode unchanged.
 
-The store is **self-healing**: every read re-verifies the recorded
-payload digest, and an entry that fails — bit rot, a torn write from a
-kill -9, a stray editor — is *quarantined* (renamed to
-``<key>.json.quarantine``, preserved for forensics) and reported as a
-miss, so the orchestrator transparently re-simulates the cell instead of
-propagating corrupt results into figures.  ``repro cache verify
---repair`` applies the same treatment in bulk, and :meth:`ResultStore.
-clean_tmp` reaps temp files abandoned by writers that died between the
-write and the :func:`os.replace`.
+The entry format lives here and nowhere else: :func:`check_entry` is the
+one integrity rule every reader applies, :func:`decode_entry` turns a
+sound entry into what it holds, and the puts build every entry the same
+way.  Backends, store merging and the campaign report move or read
+entries only through these.
+
+The store is **self-healing**: a lookup that finds an unsound entry —
+bit rot, a torn write from a kill -9, a stray editor — *quarantines* it
+(renamed to ``<key>.json.quarantine``, preserved for forensics) and
+reports a miss, so the orchestrator transparently re-simulates the cell
+instead of propagating corrupt results into figures.  ``repro cache
+verify --repair`` applies the same treatment in bulk, and
+:meth:`ResultStore.clean_tmp` reaps temp files abandoned by writers that
+died between the write and the :func:`os.replace`.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.experiments.backends import (
     StoreBackend,
@@ -178,6 +183,84 @@ def routes_key(
     )
 
 
+def _route_set(body: Mapping) -> dict[int, tuple[int, ...]]:
+    """A routes body (JSON object keys are strings) as ``{flow_id: path}``."""
+    return {int(flow_id): tuple(path) for flow_id, path in body.items()}
+
+
+#: Per entry kind: the field holding the digested body, and the decoder
+#: that turns a sound body into a RunResult or a route set.
+_BODIES = {
+    "runs": ("result", RunResult.from_payload),
+    "routes": ("routes", _route_set),
+}
+
+
+def check_entry(kind: str, key: str, entry: object) -> str:
+    """Apply the store's integrity rule to one entry; returns its digest.
+
+    An entry is **sound** when it is a dict, its stored ``key`` is its
+    name, it has a body, and any recorded digest matches that body.
+    Entries written before digests were recorded (*legacy*) have nothing
+    to match and pass on the other three checks.  Returns the sha256 of
+    the body (the recorded digest, when there is one); raises
+    :class:`~repro.experiments.backends.StoreCorruption` naming the first
+    check an unsound entry fails.
+    """
+    if not isinstance(entry, dict):
+        raise StoreCorruption(kind, key, "unparseable JSON")
+    if entry.get("key") != key:
+        raise StoreCorruption(kind, key, "stored key does not match filename")
+    body = entry.get(_BODIES[kind][0])
+    if body is None:
+        raise StoreCorruption(kind, key, "entry has no payload")
+    digest = _digest(body)
+    if entry.get("digest", digest) != digest:
+        raise StoreCorruption(
+            kind, key, "payload digest mismatch (corrupted on disk)"
+        )
+    return digest
+
+
+class StoredEntry(NamedTuple):
+    """A sound entry, decoded: all a reader outside the store sees of it."""
+
+    #: A :class:`RunResult` (runs) or a ``{flow_id: path}`` route set.
+    value: object
+    #: The recorded payload digest; None on a legacy entry.
+    digest: str | None
+    #: The scenario fingerprint its writer recorded, if any.
+    fingerprint: dict | None
+
+
+def decode_entry(kind: str, entry: dict) -> StoredEntry | None:
+    """Decode an entry that passed :func:`check_entry`.
+
+    None when the body has another shape than this checkout decodes —
+    e.g. written by a checkout with a different payload shape and an
+    unbumped :data:`CACHE_FORMAT_VERSION`.
+    """
+    field, decode = _BODIES[kind]
+    try:
+        value = decode(entry[field])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    fingerprint = entry.get("scenario")
+    if not isinstance(fingerprint, dict):
+        fingerprint = None
+    return StoredEntry(value, entry.get("digest"), fingerprint)
+
+
+def _new_entry(
+    kind: str, key: str, body: dict, fingerprint: Mapping | None
+) -> dict:
+    """The entry every put writes: key, body, body digest, fingerprint."""
+    entry = {"key": key, _BODIES[kind][0]: body, "digest": _digest(body)}
+    if fingerprint is not None:
+        entry["scenario"] = dict(fingerprint)
+    return entry
+
+
 class ResultStore:
     """Disk-backed cache of completed runs, shared by all orchestrators.
 
@@ -245,63 +328,53 @@ class ResultStore:
         self.quarantined += 1
         return True
 
-    def _read(self, kind: str, key: str) -> dict | None:
-        """Read one entry, verifying it; corrupt entries are quarantined.
+    def _read(
+        self, kind: str, key: str, need_digest: bool = False
+    ) -> StoredEntry | None:
+        """Look one entry up: decoded when sound, else None.
 
-        Every read re-checks the recorded payload digest (sha256 of the
-        canonical payload JSON, stamped by ``_write``-era puts), so bit
-        rot or torn writes surface *here* — as a miss plus a quarantine —
-        rather than as corrupt data flowing into figures.  Entries
-        predating the digest field pass through unverified (their shape
-        is still checked by the typed getters).
+        An unsound entry (:func:`check_entry`: bit rot, a torn write, a
+        stray editor), or one that records no digest when
+        ``need_digest``, is quarantined here — a miss plus a quarantine —
+        rather than flowing into figures.  A sound entry whose body does
+        not decode (:func:`decode_entry`) reads as None too, but stays in
+        place.
         """
         try:
-            payload = self.backend.get(kind, key)
-        except StoreCorruption:
-            # Stored bytes exist but are not an entry: torn write, bit rot.
-            self._quarantine(kind, key)
-            self.misses += 1
-            return None
-        if payload is None:
-            self.misses += 1
-            return None
-        if "digest" in payload:
-            body = payload.get("result" if kind == "runs" else "routes")
-            if body is None or _digest(body) != payload["digest"]:
-                self._quarantine(kind, key)
-                self.misses += 1
+            entry = self.backend.get(kind, key)
+            if entry is None:
                 return None
-        self.hits += 1
-        return payload
+            check_entry(kind, key, entry)
+            if need_digest and "digest" not in entry:
+                raise StoreCorruption(kind, key, "no recorded digest")
+        except StoreCorruption:
+            self._quarantine(kind, key)
+            return None
+        return decode_entry(kind, entry)
 
     def _write(self, kind: str, key: str, payload: dict) -> None:
         self.backend.put(kind, key, payload)
         self.writes += 1
 
+    def _counted(self, stored: StoredEntry | None):
+        """A lookup's value, counted as a hit, or None counted as a miss."""
+        if stored is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return stored.value
+
     # ------------------------------------------------------------------
     # Typed entries
     # ------------------------------------------------------------------
-    def _demote_hit(self) -> None:
-        """Reclassify the last hit as a miss (entry decoded but malformed)."""
-        self.hits -= 1
-        self.misses += 1
-
     def get_run(self, key: str) -> RunResult | None:
         """Return the cached :class:`RunResult` for ``key``, or None.
 
-        Entries that parse as JSON but do not decode to a ``RunResult``
-        (e.g. written by a checkout with a different payload shape and an
-        unbumped :data:`CACHE_FORMAT_VERSION`) count as misses, so the cell
-        is re-simulated instead of crashing the sweep.
+        Unsound entries are quarantined; entries that are sound but do
+        not decode to a ``RunResult`` stay.  Both count as misses, so the
+        cell is re-simulated instead of crashing the sweep.
         """
-        payload = self._read("runs", key)
-        if payload is None:
-            return None
-        try:
-            return RunResult.from_payload(payload["result"])
-        except (KeyError, TypeError, ValueError):
-            self._demote_hit()
-            return None
+        return self._counted(self._read("runs", key))
 
     def put_run(
         self,
@@ -317,13 +390,9 @@ class ResultStore:
         Returns that payload digest — dispatch units hand it back to the
         orchestrating parent as their ``(key, digest)`` receipt.
         """
-        payload = result.to_payload()
-        digest = _digest(payload)
-        entry = {"key": key, "result": payload, "digest": digest}
-        if fingerprint is not None:
-            entry["scenario"] = dict(fingerprint)
+        entry = _new_entry("runs", key, result.to_payload(), fingerprint)
         self._write("runs", key, entry)
-        return digest
+        return entry["digest"]
 
     def get_run_entry(self, key: str) -> tuple[RunResult, str] | None:
         """Verified ``(result, digest)`` for ``key`` without hit/miss noise.
@@ -331,48 +400,26 @@ class ResultStore:
         The receipt-verification read of sweep dispatch: the parent
         re-reads what a unit claims to have written and compares
         the recorded digest against the receipt before marking the
-        manifest cell done.  Digest verification and quarantine behave
-        exactly like :meth:`get_run` (a corrupt entry is set aside and
-        reported absent), but the hit/miss counters stay untouched —
-        the cell was already accounted for when it was partitioned as
-        pending, and a verification read must not masquerade as a second
-        cache lookup.  Units use the same read to skip seeds an earlier
-        (crashed) attempt already persisted.
+        manifest cell done.  Verification and quarantine behave exactly
+        like :meth:`get_run` — plus an entry without a recorded digest is
+        set aside, as no receipt can match it — but the hit/miss counters
+        stay untouched: the cell was already accounted for when it was
+        partitioned as pending, and a verification read must not
+        masquerade as a second cache lookup.  Units use the same read to
+        skip seeds an earlier (crashed) attempt already persisted.
         """
-        try:
-            entry = self.backend.get("runs", key)
-        except StoreCorruption:
-            self._quarantine("runs", key)
+        stored = self._read("runs", key, need_digest=True)
+        if stored is None:
             return None
-        if entry is None:
-            return None
-        body = entry.get("result")
-        digest = entry.get("digest")
-        if body is None or not isinstance(digest, str) or _digest(body) != digest:
-            self._quarantine("runs", key)
-            return None
-        try:
-            return RunResult.from_payload(body), digest
-        except (KeyError, TypeError, ValueError):
-            return None
+        return stored.value, stored.digest
 
     def get_routes(self, key: str) -> dict[int, tuple[int, ...]] | None:
         """Return a cached stabilized-route set, or None.
 
-        Malformed-but-parseable entries count as misses, mirroring
+        Unsound and undecodable entries count as misses, mirroring
         :meth:`get_run`.
         """
-        payload = self._read("routes", key)
-        if payload is None:
-            return None
-        try:
-            return {
-                int(flow_id): tuple(path)
-                for flow_id, path in payload["routes"].items()
-            }
-        except (AttributeError, KeyError, TypeError, ValueError):
-            self._demote_hit()
-            return None
+        return self._counted(self._read("routes", key))
 
     def put_routes(
         self,
@@ -381,14 +428,11 @@ class ResultStore:
         fingerprint: Mapping | None = None,
     ) -> None:
         """Persist one stabilized-route set under ``key`` (atomic write)."""
-        payload = {
+        body = {
             str(flow_id): list(path)
             for flow_id, path in sorted(routes.items())
         }
-        entry = {"key": key, "routes": payload, "digest": _digest(payload)}
-        if fingerprint is not None:
-            entry["scenario"] = dict(fingerprint)
-        self._write("routes", key, entry)
+        self._write("routes", key, _new_entry("routes", key, body, fingerprint))
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -477,18 +521,17 @@ class ResultStore:
 
         The engine behind ``repro cache verify``: re-reads a
         deterministic, evenly-spaced sample of stored entries and checks
-        that (a) the file parses, (b) the stored key matches the filename,
-        (c) the recorded payload digest matches a recomputation, and
-        (d) run payloads still decode to a :class:`RunResult`.  This
-        catches on-disk corruption and payload-shape rot — it does *not*
+        that each is sound (:func:`check_entry`) and, for runs, that its
+        payload still decodes to a :class:`RunResult`.  This catches
+        on-disk corruption and payload-shape rot — it does *not*
         re-simulate, so it cannot catch a simulator whose behaviour
         drifted (the pinned digests in ``tests/test_orchestration.py``
         guard that).  Entries predating the digest field count as
-        ``legacy`` and get checks (a), (b) and (d) only.
+        ``legacy``.
 
         With ``repair``, every failing entry is quarantined
         (``<key>.json.quarantine``) so the next sweep re-simulates it —
-        the bulk form of the read-time self-healing in ``_read``.
+        the bulk form of the lookups' self-healing.
 
         Returns ``{"checked", "ok", "legacy", "quarantined",
         "failures": [(key, why)]}``.
@@ -528,20 +571,22 @@ class ResultStore:
             else:
                 picked = keys
             for key in picked:
+                checked += 1
                 try:
                     entry = self.backend.get(kind, key)
-                except StoreCorruption:
-                    entry = None
-                checked += 1
-                why = self._verify_entry(kind, key, entry)
-                if why is None:
-                    if entry is not None and "digest" not in entry:
-                        legacy += 1
-                    ok += 1
-                else:
-                    failures.append((key, "%s/%s: %s" % (kind, key[:12], why)))
+                    check_entry(kind, key, entry)
+                    if kind == "runs" and decode_entry(kind, entry) is None:
+                        raise StoreCorruption(
+                            kind, key, "payload no longer decodes"
+                        )
+                except StoreCorruption as exc:
+                    failures.append((key, str(exc)))
                     if repair and self._quarantine(kind, key):
                         quarantined += 1
+                    continue
+                ok += 1
+                if "digest" not in entry:
+                    legacy += 1
         return {
             "checked": checked,
             "ok": ok,
@@ -549,25 +594,6 @@ class ResultStore:
             "quarantined": quarantined,
             "failures": failures,
         }
-
-    @staticmethod
-    def _verify_entry(kind: str, key: str, entry: dict | None) -> str | None:
-        """One entry's integrity verdict: None if sound, else the defect."""
-        if entry is None:
-            return "unparseable JSON"
-        if entry.get("key") != key:
-            return "stored key does not match filename"
-        payload = entry.get("result" if kind == "runs" else "routes")
-        if payload is None:
-            return "entry has no payload"
-        if "digest" in entry and _digest(payload) != entry["digest"]:
-            return "payload digest mismatch (corrupted on disk)"
-        if kind == "runs":
-            try:
-                RunResult.from_payload(payload)
-            except (KeyError, TypeError, ValueError) as exc:
-                return "payload no longer decodes: %s" % exc
-        return None
 
     def __len__(self) -> int:
         return self.backend.count()

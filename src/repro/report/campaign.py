@@ -17,16 +17,26 @@ two reports over byte-identical stores are byte-identical themselves
 
 The walk uses the store's maintenance path (``entries``), not the lookup
 path, so building a report neither perturbs hit/miss counters nor
-quarantines anything; undecodable or digest-mismatched entries are
-counted and surfaced in the provenance section instead.
+quarantines anything.  It reads entries only through the store's entry
+format (:func:`~repro.experiments.store.check_entry`,
+:func:`~repro.experiments.store.decode_entry`): an entry that breaks the
+integrity rule is left out and counted as corrupt, a sound one that does
+not decode as undecodable, and both counts surface in the provenance
+section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
-from repro.experiments.backends import canonical_digest
+from repro.experiments.backends import StoreCorruption, canonical_digest
+from repro.experiments.store import (
+    CACHE_FORMAT_VERSION,
+    StoredEntry,
+    check_entry,
+    decode_entry,
+)
 from repro.metrics.collectors import (
     AggregateResult,
     RunResult,
@@ -179,27 +189,18 @@ class Campaign:
         return sum(len(group.cells) for group in self.groups)
 
 
-def _decode_cell(key: str, entry: Mapping) -> CampaignCell | None:
-    """One store entry → a CampaignCell, or None when it will not decode.
+def _cell(key: str, stored: StoredEntry) -> CampaignCell:
+    """One decoded run with flows → a CampaignCell.
 
     The offered rate is not a payload field (the payload predates the
     report subsystem and stays byte-pinned), but every flow spec carries
     ``rate_bps``; the grid axes used kbps, so the first flow's rate
     recovers the cell's rate coordinate exactly.
     """
-    payload = entry.get("result")
-    if not isinstance(payload, dict):
-        return None
-    try:
-        result = RunResult.from_payload(payload)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not result.flows:
-        return None
-    digest = entry.get("digest")
+    result = stored.value
     return CampaignCell(
         key=key,
-        digest=digest if isinstance(digest, str) else None,
+        digest=stored.digest,
         protocol=result.protocol,
         rate_kbps=result.flows[0].spec.rate_bps / 1000.0,
         seed=result.seed,
@@ -216,25 +217,25 @@ def build_campaign(
     counts per state, the manifest's scenario name) — the report then
     shows whether the sweep it renders actually completed.
     """
-    from repro.experiments.store import CACHE_FORMAT_VERSION
-
     by_group: dict[str, CampaignGroup] = {}
     corrupt = 0
     undecodable = 0
     digest_pairs: list[tuple[str, str]] = []
     for key, entry in store.entries("runs"):
-        if entry is None:
+        try:
+            check_entry("runs", key, entry)
+        except StoreCorruption:
             corrupt += 1
             continue
-        cell = _decode_cell(key, entry)
-        if cell is None:
+        stored = decode_entry("runs", entry)
+        if stored is None or not stored.value.flows:
             undecodable += 1
             continue
-        fingerprint = entry.get("scenario")
-        if isinstance(fingerprint, dict):
+        cell = _cell(key, stored)
+        fingerprint = stored.fingerprint
+        if fingerprint is not None:
             group_id = canonical_digest(fingerprint)[:12]
         else:
-            fingerprint = None
             group_id = "(unrecorded)"
         group = by_group.setdefault(
             group_id, CampaignGroup(group_id=group_id, fingerprint=fingerprint)
@@ -246,7 +247,6 @@ def build_campaign(
     for group in groups:
         group.cells.sort(key=lambda c: (c.protocol, c.rate_kbps, c.seed))
 
-    summary = store.summary()
     manifest_info = None
     if manifest is not None:
         manifest_info = {
@@ -261,7 +261,7 @@ def build_campaign(
         groups=groups,
         routes_count=len(store.keys("routes")),
         quarantined={
-            kind: summary[kind]["quarantined"] for kind in store.KINDS
+            kind: len(store.backend.quarantined(kind)) for kind in store.KINDS
         },
         corrupt_entries=corrupt,
         undecodable_entries=undecodable,

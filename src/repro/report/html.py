@@ -180,7 +180,7 @@ def _provenance(campaign: Campaign) -> str:
             )
     if campaign.corrupt_entries:
         parts.append(
-            '<tr><td class="name">Unparseable entries</td>'
+            '<tr><td class="name">Corrupt entries</td>'
             '<td class="warn">%d</td></tr>' % campaign.corrupt_entries
         )
     if campaign.undecodable_entries:

@@ -137,6 +137,7 @@ def _python_encoded(obj, **kwargs) -> str:
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
+KEY_C = "cc" + "0" * 62
 
 
 class TestLocalJsonBackend:
@@ -211,7 +212,7 @@ class TestSqliteBackend:
         entry = _entry(KEY_A, 1)
         store._write("runs", KEY_A, entry)
         store._write("routes", KEY_B, _entry(KEY_B, 2))
-        assert store._read("runs", KEY_A) == entry
+        assert store.backend.get("runs", KEY_A) == entry
         assert store.keys("runs") == [KEY_A]
         assert dict(store.entries("runs")) == {KEY_A: entry}
         assert len(store) == 2
@@ -249,7 +250,7 @@ class TestSqliteBackend:
         connection = store.backend._connect()
         connection.execute("UPDATE entries SET entry = '{torn'")
         connection.commit()
-        assert store._read("runs", KEY_A) is None
+        assert store.get_run(KEY_A) is None
         assert store.quarantined == 1
         assert store.misses == 1
         assert store.backend.quarantined("runs") == [KEY_A]
@@ -366,11 +367,25 @@ class TestMergeStores:
         rotten = _entry(KEY_B, 2)
         rotten["digest"] = "0" * 64  # recorded digest no longer matches
         a.backend.put("runs", KEY_B, rotten)
+        a.backend.put("runs", KEY_C, _entry(KEY_A, 3))  # stored under another name
         dest = ResultStore(tmp_path / "dest")
         report = merge_stores([a], dest)
         assert report.merged == 1
-        assert report.corrupt == 1
+        assert report.corrupt == 2
         assert dest.backend.get("runs", KEY_B) is None
+        assert dest.backend.get("runs", KEY_C) is None
+
+    def test_sound_copy_replaces_an_unsound_destination_entry(self, tmp_path):
+        a = ResultStore(tmp_path / "a")
+        a.backend.put("runs", KEY_A, _entry(KEY_A, 1))
+        dest = ResultStore(tmp_path / "dest")
+        rotten = _entry(KEY_A, 1)
+        rotten["result"] = {"value": 2}  # body rotted, digest field intact
+        dest.backend.put("runs", KEY_A, rotten)
+        report = merge_stores([a], dest)
+        assert report.merged == 1
+        assert report.identical == 0
+        assert dest.backend.get("runs", KEY_A) == _entry(KEY_A, 1)
 
     def test_merge_report_renders(self):
         report = MergeReport(sources=2, merged=1, identical=3, by_kind={"runs": 1})

@@ -24,6 +24,7 @@ The acceptance bar for the reporting subsystem:
 from __future__ import annotations
 
 import dataclasses
+import json
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -175,6 +176,38 @@ class TestCampaignModel:
         campaign = build_campaign(tiny_store)
         assert campaign.undecodable_entries == 1
         assert campaign.total_runs == 4  # sound cells unaffected
+
+    @pytest.mark.parametrize("tamper", ["payload", "key"])
+    def test_unsound_entries_left_out_and_counted(self, tiny_store, tamper):
+        """An entry that still parses but breaks the store's integrity
+        rule — a stale digest, a stored key that is not its name — is
+        neither drawn nor digested: the report counts it as corrupt."""
+        sound = build_campaign(tiny_store)
+        key, other = tiny_store.keys("runs")[:2]
+        path = tiny_store._path("runs", key)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        if tamper == "payload":
+            entry["result"]["control_packets"] += 1
+        else:
+            entry["key"] = other
+        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+
+        campaign = build_campaign(tiny_store)
+        assert campaign.corrupt_entries == 1
+        assert campaign.total_runs == sound.total_runs - 1
+        pairs = [
+            (cell.key, cell.digest)
+            for group in campaign.groups
+            for cell in group.cells
+        ]
+        assert key not in dict(pairs)
+        assert campaign.campaign_digest == canonical_digest(sorted(pairs))
+        assert campaign.campaign_digest != sound.campaign_digest
+        assert tiny_store.backend.quarantined("runs") == []  # counted only
+        assert (
+            '<td class="name">Corrupt entries</td><td class="warn">1</td>'
+            in render_html(campaign)
+        )
 
 
 class TestHtmlRendering:

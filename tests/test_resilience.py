@@ -655,6 +655,38 @@ class TestSelfHealingStore:
         assert not path.exists()
         assert path.with_name(path.name + ".quarantine").exists()
 
+    @pytest.mark.parametrize("lookup", ["get_run", "get_run_entry"])
+    def test_entry_under_another_name_quarantined_on_read(
+        self, tiny, tmp_path, lookup
+    ):
+        """An entry whose stored key is not its name breaks the store's
+        integrity rule like rot does: a miss plus a quarantine."""
+        store, key = self._populate(tiny, tmp_path)
+        path = store._path("runs", key)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["key"] = "0" * 64
+        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+
+        fresh = ResultStore(tmp_path)
+        assert getattr(fresh, lookup)(key) is None
+        assert fresh.misses == (1 if lookup == "get_run" else 0)
+        assert fresh.quarantined == 1
+        assert path.with_name(path.name + ".quarantine").exists()
+
+    @pytest.mark.parametrize("lookup", ["get_run", "get_run_entry"])
+    def test_lookup_reads_the_backend_once(self, tiny, tmp_path, lookup):
+        store, key = self._populate(tiny, tmp_path)
+        read = store.backend.get
+        calls = []
+
+        def counted(kind, name):
+            calls.append((kind, name))
+            return read(kind, name)
+
+        store.backend.get = counted
+        assert getattr(store, lookup)(key) is not None
+        assert calls == [("runs", key)]
+
     def test_quarantined_cell_transparently_reruns(
         self, tiny, tmp_path, serial_digests
     ):

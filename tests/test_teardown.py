@@ -11,6 +11,7 @@ the caller's setting afterwards.  Per-node ``mac-<id>`` and
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -72,6 +73,22 @@ def test_cell_cut_mid_discovery_leaves_no_cyclic_garbage(protocol):
         gc.enable()
 
 
+@pytest.mark.parametrize("protocol", ["DSR-ODPM", "DSDV-ODPM"])
+def test_route_probe_leaves_no_cyclic_garbage(protocol):
+    """A §5.2.3 route probe (one reactive, one proactive protocol) is
+    closed like a grid cell; its routes and the closed network remain."""
+    scenario = small_network(scale="smoke")
+    gc.collect()
+    gc.disable()
+    try:
+        network, routes = runner.stabilize_routes(scenario, protocol)
+        assert len(routes) == len(network.flow_stats) > 0
+        del network
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("protocol", ["DSR-ODPM", "TITAN-PC", "DSR-Active"])
 def test_idle_cell_creates_no_per_node_streams(protocol):
     network = _line_network(protocol, start=10.0)
@@ -94,8 +111,8 @@ def test_closed_network_keeps_its_counters():
     assert network.psm.beacons > 0
 
 
-#: ``(run the cells, how many cells)`` for each runner entry point.
-RUNNERS = [
+#: ``(run the cells, how many cells)`` for each grid-cell runner.
+GRID_RUNNERS = [
     pytest.param(
         lambda scenario: runner.run_single(scenario, "DSR-ODPM", 4.0, 1),
         1,
@@ -105,6 +122,14 @@ RUNNERS = [
         lambda scenario: runner.run_batch(scenario, "DSR-ODPM", 4.0, (1, 2)),
         2,
         id="run_batch",
+    ),
+]
+#: The same for every runner entry point, the route probe included.
+RUNNERS = GRID_RUNNERS + [
+    pytest.param(
+        lambda scenario: runner.stabilize_routes(scenario, "DSR-ODPM"),
+        1,
+        id="stabilize_routes",
     ),
 ]
 COLLECTOR = pytest.mark.parametrize(
@@ -174,3 +199,41 @@ def test_runners_restore_the_collector_after_a_failing_cell(
     with pytest.raises((RuntimeError, GridCellError), match="injected"):
         run_cells(scenario)
     assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("run_cells, cells", GRID_RUNNERS)
+def test_no_automatic_pass_walks_a_finished_cell(
+    monkeypatch, restore_collector, run_cells, cells
+):
+    """The collector comes back only once a grid cell's network is gone.
+
+    With a gen-0 threshold of 1, the first allocation after the collector
+    is re-enabled starts a pass; none may start while a network the
+    runner built is still alive, or it would walk the whole network.
+    """
+    live = []
+    build = WirelessNetwork.__init__
+
+    def tracked(network, *args, **kwargs):
+        build(network, *args, **kwargs)
+        live.append(weakref.ref(network))
+
+    walked = []
+
+    def watch(phase, info):
+        if phase == "start" and any(ref() is not None for ref in live):
+            walked.append(info["generation"])
+
+    monkeypatch.setattr(WirelessNetwork, "__init__", tracked)
+    scenario = small_network(scale="smoke")
+    thresholds = gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(1, *thresholds[1:])
+    gc.callbacks.append(watch)
+    try:
+        run_cells(scenario)
+    finally:
+        gc.callbacks.remove(watch)
+        gc.set_threshold(*thresholds)
+    assert len(live) == cells
+    assert walked == []
